@@ -147,7 +147,9 @@ impl EngineCheckpoint {
 pub struct EngineReport {
     /// Slots broadcast before stopping.
     pub slots_sent: u64,
-    /// Broadcast periods completed (`slots_sent / period`).
+    /// Broadcast periods completed: the slots aired under each epoch
+    /// divided by that epoch's own period, summed over the epochs this
+    /// run put on the air (`slots_sent / period` on a single-plan run).
     pub major_cycles: u64,
     /// Frames successfully enqueued to clients, summed over slots.
     pub frames_delivered: u64,
@@ -329,6 +331,9 @@ impl BroadcastEngine {
             .map(crate::obs::slots_by_channel)
             .collect();
         let stage_m = crate::obs::stage();
+        // `plan_hash` folds over a plan's whole schedule: hash the book once
+        // here, for resume validation and the per-tick checkpoint store.
+        let plan_hashes: Vec<u64> = self.plans.iter().map(|p| p.plan_hash()).collect();
 
         // Epoch cursor: which plan is on the air and where its slot clock
         // starts. A resume picks the cursor up from the checkpoint.
@@ -341,8 +346,7 @@ impl BroadcastEngine {
                     self.plans.len()
                 );
                 assert_eq!(
-                    self.plans[r.epoch as usize].plan_hash(),
-                    r.plan_hash,
+                    plan_hashes[r.epoch as usize], r.plan_hash,
                     "resume checkpoint was taken against a different plan"
                 );
                 (r.epoch as usize, r.seq, r.base)
@@ -350,6 +354,9 @@ impl BroadcastEngine {
             None => (0, 0, 0),
         };
         let mut cur = &self.plans[epoch];
+        // Completed cycles of the epochs already swapped out, and the seq
+        // where this run started airing the current one.
+        let (mut major_cycles, mut epoch_first_seq) = (0u64, start_seq);
         let mut next_boundary = (epoch + 1 < self.plans.len())
             .then(|| base + self.swap_every_cycles * cur.max_period() as u64);
         // The slot arbiter only exists when pull is on: push-only runs
@@ -363,7 +370,7 @@ impl BroadcastEngine {
         let mut req_buf: Vec<PullRequest> = Vec::new();
         em.plan_epoch.set(epoch as i64);
         self.checkpoint
-            .store(epoch as u32, start_seq, base, cur.plan_hash());
+            .store(epoch as u32, start_seq, base, plan_hashes[epoch]);
         // A nonzero-epoch start (resume after a mid-book crash) installs
         // the current fence as the transport hello so reconnecting
         // clients learn (epoch, base) before their first data frame.
@@ -404,6 +411,8 @@ impl BroadcastEngine {
             // starts exactly here, and the refresh fence below (cycle
             // start of the new epoch) is the swap signal on the wire.
             if next_boundary == Some(seq) {
+                major_cycles += (seq - epoch_first_seq) / cur.max_period() as u64;
+                epoch_first_seq = seq;
                 epoch += 1;
                 base = seq;
                 cur = &self.plans[epoch];
@@ -541,7 +550,7 @@ impl BroadcastEngine {
                 totals.absorb(stats);
             }
             self.checkpoint
-                .store(epoch as u32, seq + 1, base, cur.plan_hash());
+                .store(epoch as u32, seq + 1, base, plan_hashes[epoch]);
             if let Some(jitter_us) = stage_jitter {
                 // Drain micros accumulated since the previous sampled slot
                 // (socket flushes happen inside and between broadcasts, so
@@ -572,10 +581,11 @@ impl BroadcastEngine {
         m.active_clients.set(transport.active_clients() as i64);
         m.max_client_lag.set_max(totals.max_queue as i64);
 
+        major_cycles += (start_seq + slots_sent - epoch_first_seq) / cur.max_period() as u64;
         let elapsed = start.elapsed();
         EngineReport {
             slots_sent,
-            major_cycles: slots_sent / self.plans[0].max_period() as u64,
+            major_cycles,
             frames_delivered: totals.delivered,
             frames_dropped: totals.dropped,
             clients_disconnected: totals.disconnected,
@@ -603,6 +613,187 @@ mod tests {
     fn program() -> BroadcastProgram {
         let layout = DiskLayout::with_delta(&[4, 8, 12], 2).unwrap();
         BroadcastProgram::generate(&layout).unwrap()
+    }
+
+    /// Three single-channel plans with pairwise different periods (and so
+    /// pairwise different hashes): a book whose swaps are visible in both.
+    fn book() -> Vec<BroadcastPlan> {
+        let plans: Vec<BroadcastPlan> = [(&[4, 8, 12], 2), (&[6, 6, 12], 1), (&[2, 10, 12], 3)]
+            .into_iter()
+            .map(|(sizes, delta): (&[usize; 3], u64)| {
+                BroadcastPlan::generate(&DiskLayout::with_delta(sizes, delta).unwrap(), 1).unwrap()
+            })
+            .collect();
+        let periods: Vec<usize> = plans.iter().map(|p| p.max_period()).collect();
+        assert!(periods[0] != periods[1] && periods[1] != periods[2] && periods[0] != periods[2]);
+        plans
+    }
+
+    /// Records every frame the engine airs; with a checkpoint handle it
+    /// also snapshots the checkpoint as each frame goes out.
+    #[derive(Default)]
+    struct Recorder {
+        frames: Vec<Frame>,
+        checkpoint: Option<Arc<EngineCheckpoint>>,
+        snapshots: Vec<EngineResume>,
+    }
+
+    impl Transport for Recorder {
+        fn broadcast(&mut self, frame: Frame) -> DeliveryStats {
+            if let Some(cp) = &self.checkpoint {
+                self.snapshots.push(cp.snapshot());
+            }
+            self.frames.push(frame);
+            DeliveryStats::default()
+        }
+
+        fn active_clients(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn checkpoint_hash_follows_the_epoch_across_hot_swaps() {
+        let plans = book();
+        let boundary1 = 2 * plans[0].max_period() as u64;
+        let boundary2 = boundary1 + 2 * plans[1].max_period() as u64;
+        let engine = BroadcastEngine::with_plan_book(
+            plans.clone(),
+            2,
+            EngineConfig {
+                max_slots: boundary2 + plans[2].max_period() as u64,
+                ..EngineConfig::default()
+            },
+        );
+        let mut rec = Recorder {
+            checkpoint: Some(engine.checkpoint()),
+            ..Recorder::default()
+        };
+        engine.run(&mut rec);
+        // While seq's frames go out the checkpoint still names seq as the
+        // next slot to air, under the epoch that aired seq - 1.
+        let mut epochs_seen = [false; 3];
+        for (frame, snap) in rec.frames.iter().zip(&rec.snapshots) {
+            assert_eq!(snap.seq, frame.seq);
+            let on_air = match frame.seq {
+                s if s <= boundary1 => 0,
+                s if s <= boundary2 => 1,
+                _ => 2,
+            };
+            assert_eq!(snap.epoch, on_air, "seq {}", frame.seq);
+            assert_eq!(
+                snap.plan_hash,
+                plans[on_air as usize]
+                    .clone()
+                    .with_epoch(on_air)
+                    .plan_hash(),
+                "seq {}",
+                frame.seq
+            );
+            epochs_seen[on_air as usize] = true;
+        }
+        assert_eq!(epochs_seen, [true; 3]);
+        // After the last tick: the final epoch, one past the last seq.
+        let last = engine.checkpoint().snapshot();
+        assert_eq!((last.epoch, last.base), (2, boundary2));
+        assert_eq!(last.plan_hash, plans[2].clone().with_epoch(2).plan_hash());
+    }
+
+    #[test]
+    #[should_panic(expected = "different plan")]
+    fn resume_against_a_different_plan_panics() {
+        let plans = book();
+        // A checkpoint taken at epoch 1 of some other book: right shape,
+        // wrong schedule.
+        let resume = EngineResume {
+            epoch: 1,
+            seq: 100,
+            base: 96,
+            plan_hash: plans[2].clone().with_epoch(1).plan_hash(),
+        };
+        let engine = BroadcastEngine::with_plan_book(
+            plans,
+            2,
+            EngineConfig {
+                max_slots: 10,
+                resume: Some(resume),
+                ..EngineConfig::default()
+            },
+        );
+        engine.run(&mut Recorder::default());
+    }
+
+    #[test]
+    fn kill_snapshot_resume_airs_the_uninterrupted_sequence() {
+        let plans = book();
+        let boundary1 = 2 * plans[0].max_period() as u64;
+        let boundary2 = boundary1 + 2 * plans[1].max_period() as u64;
+        let total = boundary2 + plans[2].max_period() as u64;
+        let run = |cfg: EngineConfig, rec: &mut Recorder| {
+            let engine = BroadcastEngine::with_plan_book(plans.clone(), 2, cfg);
+            let checkpoint = engine.checkpoint();
+            engine.run(rec);
+            checkpoint.snapshot()
+        };
+        let mut whole = Recorder::default();
+        run(
+            EngineConfig {
+                max_slots: total,
+                ..EngineConfig::default()
+            },
+            &mut whole,
+        );
+        // Kills mid-epoch, one slot either side of a swap, and exactly on
+        // one (the resumed engine then swaps on its first tick).
+        for kill in [5, boundary1 - 1, boundary1, boundary1 + 1, boundary2 + 3] {
+            let mut rec = Recorder::default();
+            let snap = run(
+                EngineConfig {
+                    max_slots: total,
+                    fault_plan: FaultPlan {
+                        broker_kill_slot: kill,
+                        ..FaultPlan::none()
+                    },
+                    ..EngineConfig::default()
+                },
+                &mut rec,
+            );
+            assert_eq!(snap.seq, kill, "checkpoint stops at the never-aired slot");
+            run(
+                EngineConfig {
+                    max_slots: total - kill,
+                    resume: Some(snap),
+                    ..EngineConfig::default()
+                },
+                &mut rec,
+            );
+            assert_eq!(rec.frames, whole.frames, "kill at {kill}");
+        }
+    }
+
+    #[test]
+    fn major_cycles_count_each_epoch_by_its_own_period() {
+        let mut plans = book();
+        plans.truncate(2);
+        let (p0, p1) = (plans[0].max_period() as u64, plans[1].max_period() as u64);
+        // Two cycles of epoch 0, then three and a bit of epoch 1.
+        let max_slots = 2 * p0 + 3 * p1 + 1;
+        assert_ne!(
+            max_slots / p0,
+            5,
+            "periods too alike to tell the counts apart"
+        );
+        let engine = BroadcastEngine::with_plan_book(
+            plans,
+            2,
+            EngineConfig {
+                max_slots,
+                ..EngineConfig::default()
+            },
+        );
+        let report = engine.run(&mut Recorder::default());
+        assert_eq!(report.slots_sent, max_slots);
+        assert_eq!(report.major_cycles, 5);
     }
 
     #[test]

@@ -583,72 +583,10 @@ pub(crate) fn metrics() -> &'static FaultMetrics {
     })
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (vendored — no external dependency)
-// ---------------------------------------------------------------------------
-
-/// The CRC-32/ISO-HDLC table (reflected polynomial 0xEDB88320), built at
-/// compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// Initial CRC32 state for the streaming API.
-pub fn crc32_init() -> u32 {
-    u32::MAX
-}
-
-/// Folds `bytes` into a running CRC32 state.
-pub fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-/// Finalizes a streaming CRC32 state into the checksum.
-pub fn crc32_finish(crc: u32) -> u32 {
-    !crc
-}
-
-/// CRC-32/ISO-HDLC (the "CRC32" of zlib, Ethernet, PNG) over `bytes`.
-/// Detects every single-bit error and all burst errors up to 32 bits —
-/// exactly the damage [`ChannelFault::Corrupt`] injects.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_finish(crc32_update(crc32_init(), bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bdisk_sched::Slot;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value of CRC-32/ISO-HDLC.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(
-            crc32(b"The quick brown fox jumps over the lazy dog"),
-            0x414F_A339
-        );
-    }
 
     #[test]
     fn same_seed_replays_identical_fault_sequence() {

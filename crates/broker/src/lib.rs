@@ -46,6 +46,7 @@
 pub mod arbiter;
 pub mod bus;
 pub mod client;
+pub mod crc;
 pub mod engine;
 pub mod faults;
 pub mod fleet;
@@ -63,8 +64,9 @@ pub use mini_mio::raise_nofile_limit;
 pub use arbiter::{PullConfig, PullMode, PullStats, SlotArbiter, UserPullStats};
 pub use bus::{BusSubscription, BusTuning, InMemoryBus};
 pub use client::{ClientEpoch, DriftBook, LiveClient, LiveClientResult};
+pub use crc::crc32;
 pub use engine::{BroadcastEngine, EngineCheckpoint, EngineConfig, EngineReport, EngineResume};
-pub use faults::{crc32, ChannelFault, FaultCounts, FaultInjector, FaultPlan};
+pub use faults::{ChannelFault, FaultCounts, FaultInjector, FaultPlan};
 pub use fleet::{FleetReport, RequesterConfig, TunerFleet, TunerStats};
 pub use metrics::{aggregate, LiveReport};
 pub use obs::register_metrics;

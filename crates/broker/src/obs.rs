@@ -275,7 +275,8 @@ pub(crate) fn tcp() -> &'static TcpMetrics {
         ),
         writer_backlog: registry::histogram(
             "bd_tcp_writer_backlog",
-            "Per-connection send-buffer backlog sampled at each enqueue (frames)",
+            "Send-buffer backlog in frames: every connection at each enqueue (threaded), \
+             the slowest connection once per broadcast (evented)",
             POW2_BOUNDS,
         ),
         coalesce_batch: registry::histogram(

@@ -388,6 +388,7 @@ impl EventedTcpTransport {
             pending_requests,
             requests_dropped,
             hello,
+            flush_every,
             ..
         } = self;
         match poll.poll(events, timeout) {
@@ -416,7 +417,10 @@ impl EventedTcpTransport {
                     }
                     let id = *next_conn_id;
                     *next_conn_id += 1;
-                    let mut backlog = VecDeque::with_capacity(cfg.queue_capacity);
+                    // Sized for a consumer that keeps up (one flush cadence
+                    // plus the greeting); a lagging one grows its ring with
+                    // its lag, so memory is not clients × `queue_capacity`.
+                    let mut backlog = VecDeque::with_capacity(*flush_every + 1);
                     // The greeting rides the normal backlog, so it reaches
                     // the socket ahead of any broadcast frame.
                     if let Some(hello) = hello {
@@ -516,14 +520,11 @@ impl EventedTcpTransport {
         // Slowest consumers this broadcast: a fixed-size descending
         // insertion keeps the top-K without allocating on the hot path.
         let mut top: [(usize, u64); SLOW_CONSUMER_TOP_K] = [(0, 0); SLOW_CONSUMER_TOP_K];
-        let mut watermark = 0usize;
         for idx in 0..slab.len() {
             let (backlog, conn_id) = match slab[idx].as_ref() {
                 Some(conn) => (conn.backlog.len(), conn.id),
                 None => continue,
             };
-            tcp_m.writer_backlog.record(backlog as u64);
-            watermark = watermark.max(backlog);
             let mut entry = (backlog, conn_id);
             for slot in top.iter_mut() {
                 if entry.0 > slot.0 {
@@ -550,6 +551,10 @@ impl EventedTcpTransport {
                 stats.max_queue = stats.max_queue.max(backlog + 1);
             }
         }
+        // One histogram sample per broadcast — the slowest writer's lag —
+        // not one per connection.
+        let watermark = top[0].0;
+        tcp_m.writer_backlog.record(watermark as u64);
         stage_m.conn_lag_watermark.set_max(watermark as i64);
         for (rank, (lag, conn_id)) in top.iter().enumerate() {
             slow_lag[rank].set(*lag as i64);
@@ -866,6 +871,68 @@ mod tests {
         assert_eq!(disconnected, 1, "slow consumer evicted exactly once");
         assert_eq!(transport.active_clients(), 0);
         drop(stalled);
+    }
+
+    /// A lagging consumer's ring grows past its flush-cadence start, and
+    /// backpressure still cuts in at exactly `queue_capacity` queued frames.
+    #[test]
+    fn backpressure_fires_at_exactly_queue_capacity_after_the_ring_grows() {
+        const CAPACITY: usize = 200;
+        for backpressure in [Backpressure::DropNewest, Backpressure::Disconnect] {
+            let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+                queue_capacity: CAPACITY,
+                backpressure,
+                write_timeout: Some(Duration::from_millis(100)),
+                ..TcpTransportConfig::default()
+            })
+            .unwrap();
+            let stalled = TcpFrameReader::connect(transport.local_addr()).unwrap();
+            assert!(transport.wait_for_clients(1, Duration::from_secs(5)));
+            assert!(CAPACITY > transport.flush_every + 1);
+            // The never-reading tuner's socket fills, then its backlog.
+            let payloads = PagePayloads::generate(2, 64 * 1024);
+            let mut fired_at = None;
+            for seq in 0..(4 * CAPACITY as u64) {
+                let queued = transport
+                    .slab
+                    .iter()
+                    .flatten()
+                    .map(|c| c.backlog.len())
+                    .sum();
+                assert!(queued <= CAPACITY, "backlog overshot: {queued}");
+                let stats =
+                    transport.broadcast(payloads.frame(seq, Slot::Page(PageId(seq as u32 % 2))));
+                if stats.dropped + stats.disconnected > 0 {
+                    fired_at = Some(queued);
+                    break;
+                }
+            }
+            assert_eq!(fired_at, Some(CAPACITY), "{backpressure:?}");
+            drop(transport);
+            drop(stalled);
+        }
+    }
+
+    #[test]
+    fn fresh_connections_do_not_reserve_queue_capacity() {
+        let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+            queue_capacity: 16_384,
+            ..TcpTransportConfig::default()
+        })
+        .unwrap();
+        let addr = transport.local_addr();
+        let readers: Vec<_> = (0..4)
+            .map(|_| TcpFrameReader::connect(addr).unwrap())
+            .collect();
+        assert!(transport.wait_for_clients(readers.len(), Duration::from_secs(5)));
+        for conn in transport.slab.iter().flatten() {
+            assert!(
+                conn.backlog.capacity() <= transport.flush_every + 1,
+                "fresh ring holds {} slots at flush cadence {}",
+                conn.backlog.capacity(),
+                transport.flush_every
+            );
+        }
     }
 
     #[test]

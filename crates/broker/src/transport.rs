@@ -329,10 +329,10 @@ impl Frame {
 /// CRC-32/ISO-HDLC over a frame body (seq + channel + page + payload),
 /// skipping the CRC field itself (bytes `CRC_OFFSET..CRC_OFFSET + 4`).
 fn body_crc(body: &[u8]) -> u32 {
-    let mut state = crate::faults::crc32_init();
-    state = crate::faults::crc32_update(state, &body[..CRC_OFFSET]);
-    state = crate::faults::crc32_update(state, &body[HEADER_LEN..]);
-    crate::faults::crc32_finish(state)
+    let mut state = crate::crc::crc32_init();
+    state = crate::crc::crc32_update(state, &body[..CRC_OFFSET]);
+    state = crate::crc::crc32_update(state, &body[HEADER_LEN..]);
+    crate::crc::crc32_finish(state)
 }
 
 /// True when `body` (a frame body, after the length prefix) carries a CRC

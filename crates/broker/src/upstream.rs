@@ -23,7 +23,7 @@
 //! overflow everything but the last (possibly partial) record is
 //! discarded, bounding memory per connection.
 
-use crate::faults::{crc32_finish, crc32_init, crc32_update};
+use crate::crc::{crc32_finish, crc32_init, crc32_update};
 use crate::transport::PullRequest;
 use bdisk_sched::PageId;
 

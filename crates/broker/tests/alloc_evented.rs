@@ -1,7 +1,8 @@
 //! Satellite assertion for the event-loop tentpole: the evented
 //! transport's steady-state broadcast cost is a **client-count-independent
 //! constant number of allocations per slot** — one shared wire encoding
-//! (`Arc<[u8]>`), refcount-bump enqueues into pre-sized backlogs, and
+//! (`Arc<[u8]>`), refcount-bump enqueues into backlog rings that a keeping-up
+//! consumer never outgrows (they start at flush-cadence size), and
 //! vectored flushes through a stack `IoSlice` array. Doubling the fleet
 //! must not add a single allocation.
 //!
