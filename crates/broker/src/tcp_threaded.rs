@@ -536,6 +536,10 @@ impl Transport for TcpTransport {
             let _ = TcpStream::connect(self.addr);
             let _ = accept.join();
         }
+        // Hang up on connections accepted but never polled in (a client
+        // reconnecting as the run ends): left queued, they stay open and
+        // block that client's read until the transport is dropped.
+        while self.incoming.try_recv().is_ok() {}
         crate::obs::tcp().connections.set(0);
         // TCP broadcasts are unbatched: all stats were reported per slot.
         DeliveryStats::default()
@@ -926,6 +930,26 @@ mod tests {
             "shutdown joins took {elapsed:?} (write_timeout is 200ms)"
         );
         drop(stalled);
+    }
+
+    /// A connection the accept thread queued but no poll adopted is closed
+    /// by `finish`, so its client reads end-of-stream instead of blocking
+    /// for as long as the transport lives.
+    #[test]
+    fn finish_hangs_up_on_connections_never_polled() {
+        let mut transport = TcpTransport::bind(TcpTransportConfig::default()).unwrap();
+        let mut late = TcpStream::connect(transport.local_addr()).unwrap();
+        while transport.incoming.is_empty() {
+            std::thread::yield_now();
+        }
+        transport.finish();
+        late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(
+            late.read(&mut buf).expect("hung up, not left open"),
+            0,
+            "end of stream"
+        );
     }
 
     #[test]

@@ -13,6 +13,14 @@ use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
 use bdisk_sim::SimConfig;
 
+/// How long, in periods of `small_setup`'s program (240 slots, 4.8 ms at
+/// the tests' 20 µs slots), the engine keeps ticking with no client
+/// connected. 50 periods (240 ms) outlast the clients' worst reconnect
+/// outage (10 attempts at most 20 ms apart) with room for a descheduled
+/// client thread; a shorter grace lets the engine stop mid-reconnect and
+/// strand the client.
+const GRACE_PERIODS: u64 = 50;
+
 fn small_setup() -> (SimConfig, DiskLayout, BroadcastProgram) {
     let layout = DiskLayout::with_delta(&[10, 40, 50], 2).unwrap();
     let program = BroadcastProgram::generate(&layout).unwrap();
@@ -92,7 +100,7 @@ fn chaos_fleet_completes_under_seeded_faults() {
             // Gentle pacing keeps a reconnect outage to a handful of slots,
             // so recovery waits stay commensurate with the period.
             slot_duration: Duration::from_micros(20),
-            no_client_grace_slots: 4 * period,
+            no_client_grace_slots: GRACE_PERIODS * period,
             ..EngineConfig::default()
         },
     );
@@ -175,7 +183,7 @@ fn killed_client_reconnects_and_finishes() {
         EngineConfig {
             max_slots: 5_000_000,
             slot_duration: Duration::from_micros(20),
-            no_client_grace_slots: 4 * period,
+            no_client_grace_slots: GRACE_PERIODS * period,
             ..EngineConfig::default()
         },
     );

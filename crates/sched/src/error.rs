@@ -44,6 +44,12 @@ pub enum SchedError {
         /// Human-readable reason.
         reason: &'static str,
     },
+    /// A page weight given to the layout optimizer was NaN, infinite or
+    /// negative.
+    InvalidWeight {
+        /// Index (0-based) of the offending page.
+        page: usize,
+    },
 }
 
 impl fmt::Display for SchedError {
@@ -79,6 +85,10 @@ impl fmt::Display for SchedError {
             SchedError::InvalidCoding { reason } => {
                 write!(f, "invalid coding config: {reason}")
             }
+            SchedError::InvalidWeight { page } => write!(
+                f,
+                "page {page} has an invalid weight (must be finite and >= 0)"
+            ),
         }
     }
 }
@@ -106,6 +116,10 @@ mod tests {
         assert!(SchedError::ZeroFrequency { disk: 1 }
             .to_string()
             .contains("disk 2"));
+        assert_eq!(
+            SchedError::InvalidWeight { page: 7 }.to_string(),
+            "page 7 has an invalid weight (must be finite and >= 0)"
+        );
     }
 
     #[test]
