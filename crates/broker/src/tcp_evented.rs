@@ -200,9 +200,9 @@ fn flush_conn_inner(
 /// Drop-in replacement for [`crate::TcpTransport`] behind the
 /// [`Transport`] trait: same wire format, same backpressure and fault
 /// semantics, same accounting — but one thread total, and a connection
-/// costs a slab slot instead of an OS thread. `repro bench --transport`
-/// compares the two; `tests/evented_equivalence.rs` pins them
-/// bit-identical.
+/// costs a slab slot instead of an OS thread. The perf ledger's
+/// `throughput_per_s` @`fanout_small` runs on this transport;
+/// `tests/evented_equivalence.rs` pins the two bit-identical.
 pub struct EventedTcpTransport {
     addr: SocketAddr,
     cfg: TcpTransportConfig,

@@ -63,7 +63,7 @@ pub fn context() -> &'static RunContext {
 pub enum Scale {
     /// Paper-fidelity: 15 000 measured requests per point.
     Full,
-    /// Reduced requests for smoke runs and benches.
+    /// Reduced requests for smoke runs.
     Quick,
 }
 

@@ -12,12 +12,9 @@
 //!   --transport T      live: bus (default, lossless) or tcp
 //!   --clients N        live: concurrent clients (default 16, min 4)
 //!   --channels N       live: broadcast channels to stripe across (default 1)
-//!   --page-size N      live/bench: payload bytes per page frame (default 64)
+//!   --page-size N      live: payload bytes per page frame (default 64)
 //!   --metrics-addr A   live/trace: serve GET /metrics and /events on HOST:PORT
 //!   --serve-secs N     live: keep serving metrics N seconds after the run ends
-//!   --clients-list L   bench: comma-separated fleet sizes for the TCP fan-out
-//!                      (overrides the tracked defaults; threaded rows skip
-//!                      entries beyond its thread-per-connection cap)
 //!
 //! experiments:
 //!   table1   expected delay of the Figure 2 example programs
@@ -47,7 +44,6 @@
 //!   coding   coded repair slots: rate x loss sweep + coded live parity
 //!   drift    epoch hot-swap under workload drift, with broker restart
 //!   pull     hybrid push/pull slot arbiter: skew x mode sweep + parity
-//!   bench    perf harness: writes BENCH_broker.json / BENCH_sim.json
 //!   all      everything above, in paper order
 //! ```
 //!
@@ -56,7 +52,6 @@
 //! base seed in its header line, so `repro --seed N <exp>` reruns are
 //! bit-identical.
 
-mod bench;
 mod channels;
 mod coding;
 mod common;
@@ -74,17 +69,7 @@ use common::Scale;
 use live::LiveOptions;
 
 fn main() {
-    // Hidden re-exec mode: `repro __tuner-fleet <addr> <n>` runs a bench
-    // tuner fleet in its own process (its own fd budget) and prints a
-    // one-line summary. Dispatched before flag parsing on purpose — it is
-    // an internal wire protocol, not part of the CLI surface above.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("__tuner-fleet") {
-        bench::tuner_fleet_child(&raw[1..]);
-        return;
-    }
-
-    let (scale, live_opts, clients_list, experiments) = parse_args();
+    let (scale, live_opts, experiments) = parse_args();
 
     if experiments.is_empty() {
         eprintln!("usage: repro [--quick] [--out DIR] [--seed N] <table1|fig3|...|fig15|live|all>");
@@ -94,19 +79,18 @@ fn main() {
 
     let start = std::time::Instant::now();
     for exp in &experiments {
-        run_one(exp, scale, &live_opts, clients_list.as_deref());
+        run_one(exp, scale, &live_opts);
     }
     eprintln!("\ncompleted in {:.1}s", start.elapsed().as_secs_f64());
 }
 
 /// Parses flags and experiment names; installs the invocation context.
-fn parse_args() -> (Scale, LiveOptions, Option<Vec<usize>>, Vec<String>) {
+fn parse_args() -> (Scale, LiveOptions, Vec<String>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut out = std::path::PathBuf::from("results");
     let mut base_seed = common::DEFAULT_BASE_SEED;
     let mut live_opts = LiveOptions::default();
-    let mut clients_list: Option<Vec<usize>> = None;
     let mut experiments = Vec::new();
 
     let mut iter = args.into_iter();
@@ -154,23 +138,6 @@ fn parse_args() -> (Scale, LiveOptions, Option<Vec<usize>>, Vec<String>) {
                     "--serve-secs expects a number of seconds",
                 )
             }
-            "--clients-list" => {
-                let raw = flag_value(&mut iter, "--clients-list");
-                let list: Vec<usize> = raw
-                    .split(',')
-                    .map(|part| {
-                        parse_or_die(
-                            part.trim(),
-                            "--clients-list expects comma-separated positive integers",
-                        )
-                    })
-                    .collect();
-                if list.is_empty() || list.contains(&0) {
-                    eprintln!("--clients-list expects comma-separated positive integers");
-                    std::process::exit(2);
-                }
-                clients_list = Some(list);
-            }
             other if other.starts_with("--") => {
                 eprintln!("unknown flag: {other}");
                 std::process::exit(2);
@@ -181,7 +148,7 @@ fn parse_args() -> (Scale, LiveOptions, Option<Vec<usize>>, Vec<String>) {
 
     common::init_context(out, base_seed);
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    (scale, live_opts, clients_list, experiments)
+    (scale, live_opts, experiments)
 }
 
 fn flag_value(iter: &mut impl Iterator<Item = String>, flag: &str) -> String {
@@ -198,7 +165,7 @@ fn parse_or_die<T: std::str::FromStr>(s: &str, msg: &str) -> T {
     })
 }
 
-fn run_one(exp: &str, scale: Scale, live_opts: &LiveOptions, clients_list: Option<&[usize]>) {
+fn run_one(exp: &str, scale: Scale, live_opts: &LiveOptions) {
     match exp {
         "table1" => table1::run(scale),
         "fig3" => worked_examples::figure3(),
@@ -226,14 +193,13 @@ fn run_one(exp: &str, scale: Scale, live_opts: &LiveOptions, clients_list: Optio
         "coding" => coding::run(scale, live_opts),
         "drift" => drift::run(scale, live_opts),
         "pull" => pull::run(scale, live_opts),
-        "bench" => bench::run(scale, live_opts.page_size, clients_list),
         "all" => {
             for e in [
                 "table1", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
                 "fig12", "fig13", "fig14", "fig15", "prefetch", "policies", "design", "updates",
                 "index", "channels", "live", "timeline", "faults", "coding", "drift", "pull",
             ] {
-                run_one(e, scale, live_opts, clients_list);
+                run_one(e, scale, live_opts);
             }
         }
         other => {

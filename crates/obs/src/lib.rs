@@ -33,8 +33,8 @@
 //! loads:
 //!
 //! * [`metrics_enabled`] (default **on**) gates counter/gauge/histogram
-//!   recording — `repro bench` measures the fan-out operating point with
-//!   this on and off and records the delta in `BENCH_broker.json`;
+//!   recording — the perf ledger measures fan-out with it on and off and
+//!   records the delta as `obs.metrics_overhead_pct`;
 //! * [`tracing_enabled`] (default **off**) gates event-journal recording —
 //!   `repro trace` and `repro live --metrics-addr` turn it on.
 //!

@@ -184,6 +184,31 @@ proptest! {
     }
 }
 
+/// The ragged-final-region case of `zipf_is_valid_distribution`, pinned:
+/// 37 pages in regions of 2 leave a one-page last region, and θ = 0 gives
+/// every region the same weight, so the ragged region must still weigh no
+/// more than its predecessor.
+#[test]
+fn zipf_ragged_final_region_is_valid() {
+    let (access_range, region_size) = (37, 2);
+    let z = RegionZipf::new(access_range, region_size, 0.0);
+    let sum: f64 = z.probs().iter().sum();
+    assert!((sum - 1.0).abs() < 1e-9);
+    let region_weight = |j: usize| -> f64 {
+        let start = j * region_size;
+        let end = ((j + 1) * region_size).min(access_range);
+        (start..end).map(|p| z.prob(p)).sum()
+    };
+    for j in 1..z.num_regions() {
+        assert!(
+            region_weight(j) <= region_weight(j - 1) + 1e-12,
+            "region {} hotter than region {}",
+            j,
+            j - 1
+        );
+    }
+}
+
 /// Deterministic cross-crate check: a full simulation is reproducible and
 /// its outcome fields are internally consistent.
 #[test]
