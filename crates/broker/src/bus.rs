@@ -453,7 +453,7 @@ impl InMemoryBus {
 
     /// Delivers the pending batch, returning its stats (empty if nothing
     /// was pending).
-    fn flush(&mut self) -> DeliveryStats {
+    fn flush_pending(&mut self) -> DeliveryStats {
         if self.pending.is_empty() {
             return DeliveryStats::default();
         }
@@ -536,7 +536,7 @@ impl Transport for InMemoryBus {
             self.pending.push(frame);
         }
         if self.pending.len() >= self.batch {
-            self.flush()
+            self.flush_pending()
         } else {
             DeliveryStats::default()
         }
@@ -546,8 +546,12 @@ impl Transport for InMemoryBus {
         self.active
     }
 
+    fn flush(&mut self) -> DeliveryStats {
+        self.flush_pending()
+    }
+
     fn finish(&mut self) -> DeliveryStats {
-        let stats = self.flush();
+        let stats = self.flush_pending();
         self.close();
         stats
     }
@@ -657,6 +661,30 @@ mod tests {
         let tail = bus.finish();
         assert_eq!(tail.delivered, 2);
         assert_eq!(drain(sub), vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn flush_delivers_a_partial_batch() {
+        let mut bus = InMemoryBus::with_tuning(
+            64,
+            Backpressure::Block,
+            BusTuning {
+                batch: 4,
+                shards: 0,
+            },
+        );
+        let sub = bus.subscribe();
+        for seq in 0..3 {
+            assert_eq!(bus.broadcast(frame(seq)).delivered, 0);
+        }
+        assert_eq!(sub.lag(), 0, "a partial batch waits for its flush");
+        let stats = bus.flush();
+        assert_eq!((stats.delivered, stats.max_queue), (3, 3));
+        assert_eq!(stats.bytes, 3 * frame(0).wire_len() as u64);
+        assert_eq!(sub.lag(), 3);
+        assert_eq!(bus.flush(), DeliveryStats::default());
+        bus.finish();
+        assert_eq!(drain(sub), vec![0, 1, 2]);
     }
 
     #[test]

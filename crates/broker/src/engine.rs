@@ -183,6 +183,19 @@ fn record_delivery(m: &crate::obs::EngineMetrics, stats: &DeliveryStats) {
     m.bytes.add(stats.bytes);
 }
 
+/// Wall-clock deadline of the slot `slots` ticks after `start`, computed in
+/// u128 nanoseconds with saturation, so no slot count wraps a deadline
+/// back into the past (a `u32` slot multiplier wraps after 2³² slots,
+/// about 24 h at 20 µs slots).
+fn slot_deadline(start: Instant, slot_duration: Duration, slots: u64) -> Instant {
+    let nanos = slot_duration.as_nanos().saturating_mul(u128::from(slots));
+    let secs = u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX);
+    let offset = Duration::new(secs, (nanos % 1_000_000_000) as u32);
+    start
+        .checked_add(offset)
+        .expect("slot deadline beyond the range of the monotonic clock")
+}
+
 /// How many slots before an epoch boundary the engine starts airing
 /// announce fences (one per channel per tick), so every tuner — even one
 /// straddling a channel switch — sees the swap coming.
@@ -289,6 +302,13 @@ impl BroadcastEngine {
     /// at wall-clock time `start + seq * slot_duration`; if the transport
     /// is slower than the slot rate the engine runs behind rather than
     /// skipping slots (every client still sees a gap-free feed).
+    ///
+    /// A paced engine that reaches a slot before its deadline calls
+    /// [`Transport::flush`] before sleeping, so a batching transport puts
+    /// each slot on the air within its own slot time (a pull is answered
+    /// in slots, not in flush intervals). A free-running engine, and a
+    /// paced one running behind, never calls it: the transport keeps its
+    /// own batching cadence.
     ///
     /// With a multi-plan book, epoch `e+1` takes over from epoch `e` at
     /// the cycle boundary `base_e + swap_every_cycles * period_e`; the
@@ -439,10 +459,16 @@ impl BroadcastEngine {
                 }
             }
             if !self.cfg.slot_duration.is_zero() {
-                let deadline = start + self.cfg.slot_duration * (seq - start_seq) as u32;
-                let now = Instant::now();
-                if deadline > now {
-                    std::thread::sleep(deadline - now);
+                let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
+                // Idle before this slot is due: put what the transport has
+                // batched on the air first, so each slot leaves in its own
+                // slot time. A late engine skips the flush and lets the
+                // transport batch.
+                if Instant::now() < deadline {
+                    let stats = transport.flush();
+                    record_delivery(m, &stats);
+                    totals.absorb(stats);
+                    std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
                 }
             }
             if self.cfg.fault_plan.overrun_at(seq) {
@@ -489,7 +515,7 @@ impl BroadcastEngine {
                 if self.cfg.slot_duration.is_zero() {
                     0.0
                 } else {
-                    let deadline = start + self.cfg.slot_duration * (seq - start_seq) as u32;
+                    let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
                     Instant::now()
                         .checked_duration_since(deadline)
                         .map_or(0.0, |late| late.as_secs_f64() * 1e6)
@@ -967,5 +993,79 @@ mod tests {
         // Slot 19 is sent no earlier than 19ms in.
         assert!(report.elapsed >= Duration::from_millis(19));
         assert!(report.slots_per_sec <= 1100.0);
+    }
+
+    #[test]
+    fn slot_deadlines_do_not_wrap_after_two_to_the_32_slots() {
+        let start = Instant::now();
+        let slot = Duration::from_micros(20);
+        let first = slot_deadline(start, slot, 1);
+        let wrapped = slot_deadline(start, slot, (1u64 << 32) + 1);
+        assert_eq!(first, start + slot);
+        assert!(wrapped > first, "deadline of slot 2^32 + 1 wrapped");
+        assert_eq!(
+            wrapped - start,
+            Duration::from_nanos(20_000 * ((1 << 32) + 1))
+        );
+    }
+
+    /// Counts `flush` calls on the way to a [`Recorder`]; sleeps `stall`
+    /// per broadcast to model a transport slower than the slot rate.
+    #[derive(Default)]
+    struct FlushCounter {
+        inner: Recorder,
+        stall: Duration,
+        flushes: usize,
+    }
+
+    impl Transport for FlushCounter {
+        fn broadcast(&mut self, frame: Frame) -> DeliveryStats {
+            std::thread::sleep(self.stall);
+            self.inner.broadcast(frame)
+        }
+
+        fn active_clients(&self) -> usize {
+            self.inner.active_clients()
+        }
+
+        fn flush(&mut self) -> DeliveryStats {
+            self.flushes += 1;
+            self.inner.flush()
+        }
+    }
+
+    fn flushes(slot_duration: Duration, stall: Duration) -> usize {
+        let engine = BroadcastEngine::new(
+            program(),
+            EngineConfig {
+                max_slots: 10,
+                slot_duration,
+                ..EngineConfig::default()
+            },
+        );
+        let mut t = FlushCounter {
+            stall,
+            ..FlushCounter::default()
+        };
+        assert_eq!(engine.run(&mut t).slots_sent, 10);
+        t.flushes
+    }
+
+    #[test]
+    fn free_running_engine_never_flushes_early() {
+        assert_eq!(flushes(Duration::ZERO, Duration::ZERO), 0);
+    }
+
+    #[test]
+    fn paced_engine_flushes_when_idle() {
+        assert!(flushes(Duration::from_millis(1), Duration::ZERO) >= 1);
+    }
+
+    #[test]
+    fn late_paced_engine_never_flushes_early() {
+        assert_eq!(
+            flushes(Duration::from_millis(1), Duration::from_millis(2)),
+            0
+        );
     }
 }

@@ -32,11 +32,16 @@
 //!   bit-identical delivered streams.
 //!
 //! Writes are batched: frames accumulate in per-connection backlogs and
-//! are flushed every few broadcasts (or on a writable event). This trades
-//! a bounded delivery delay — irrelevant to measurements, since a live
-//! client's virtual time is the frame's slot sequence number, not its
-//! arrival instant — for syscall amortization across slots, on top of the
-//! write amplification already being O(1) per slot in payload bytes.
+//! are flushed every `flush_every` broadcasts (or on a writable event).
+//! A free-running engine relies on that cadence alone, trading a delivery
+//! delay of up to one cadence for syscall amortization across slots, on
+//! top of the write amplification already being O(1) per slot in payload
+//! bytes. That delay is wall-clock latency a tuner waits through, which
+//! matters to a paced broadcast (and to a pull answered over it), so a
+//! paced engine with time left before its next slot calls
+//! [`Transport::flush`] and each slot leaves in its own slot time. A
+//! paced engine running behind its deadlines skips that call and falls
+//! back to the cadence.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -665,6 +670,17 @@ impl Transport for EventedTcpTransport {
 
     fn active_clients(&self) -> usize {
         self.live
+    }
+
+    fn flush(&mut self) -> DeliveryStats {
+        let mut stats = DeliveryStats::default();
+        if self.since_flush == 0 {
+            return stats;
+        }
+        self.since_flush = 0;
+        self.flush_ready(&mut stats);
+        crate::obs::tcp().disconnects.add(stats.disconnected);
+        stats
     }
 
     fn take_requests(&mut self, out: &mut Vec<PullRequest>) {

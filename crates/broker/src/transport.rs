@@ -504,8 +504,9 @@ impl DeliveryStats {
 /// Implementations own the client registry; the engine only sees aggregate
 /// delivery stats and the live client count. A transport may batch
 /// deliveries internally, in which case a `broadcast` call reports the
-/// stats of whatever flush it completed (possibly none) and the tail batch
-/// is reported by [`Transport::finish`].
+/// stats of whatever flush it completed (possibly none), an idle engine's
+/// [`Transport::flush`] reports an early one, and the tail batch is
+/// reported by [`Transport::finish`].
 pub trait Transport: Send {
     /// Sends `frame` to every connected client, applying the transport's
     /// backpressure policy to slow consumers.
@@ -514,6 +515,16 @@ pub trait Transport: Send {
     /// Number of currently connected clients (as of the last flush for
     /// batching transports).
     fn active_clients(&self) -> usize;
+
+    /// Pushes any batched-but-unsent frames toward clients now, returning
+    /// the delivery stats of that early flush. A paced engine calls this
+    /// when it finishes a slot ahead of the next slot's deadline, so each
+    /// slot reaches the air within its own slot time. A free-running
+    /// engine never calls it, so batching still amortizes there. The
+    /// default suits a transport that sends every frame as it arrives.
+    fn flush(&mut self) -> DeliveryStats {
+        DeliveryStats::default()
+    }
 
     /// Flushes and releases transport resources (closes client feeds),
     /// returning the delivery stats of any final partial batch. The engine
