@@ -68,8 +68,8 @@ pub struct EngineConfig {
     /// Engine-level fault schedule: the `overrun` rate and the
     /// deterministic `broker_kill_slot` apply here (channel faults live in
     /// the transport's injector — see `InMemoryBus::set_fault_plan` /
-    /// `TcpTransport::set_fault_plan`). An overrun slot is broadcast one
-    /// extra slot-duration late; slot deadlines are absolute
+    /// `EventedTcpTransport::set_fault_plan`). An overrun slot is broadcast
+    /// one extra slot-duration late; slot deadlines are absolute
     /// (`start + seq * slot_duration`), so the delay never accumulates
     /// into clock drift.
     pub fault_plan: FaultPlan,

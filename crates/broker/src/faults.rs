@@ -547,9 +547,10 @@ impl FaultSwitchboard {
 
 /// Encodes `frame` and flips one bit of the body chosen by `entropy` —
 /// never a length-prefix bit, so framing stays intact and the damage is
-/// the CRC's to catch. Both TCP transports (threaded and evented) corrupt
-/// through this one function, so a fault plan's corruption schedule is
-/// byte-identical across them.
+/// the CRC's to catch. The TCP transport corrupts through this one
+/// function, so a fault plan's corruption schedule is a pure function of
+/// its seed (`tests/evented_equivalence.rs` restates the flip in its wire
+/// model).
 pub(crate) fn encode_corrupted(
     frame: &crate::transport::Frame,
     entropy: u64,

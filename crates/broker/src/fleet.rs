@@ -371,8 +371,7 @@ fn drain_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp_evented::EventedTcpTransport;
-    use crate::tcp_threaded::TcpTransportConfig;
+    use crate::tcp_evented::{EventedTcpTransport, TcpTransportConfig};
     use crate::transport::{PagePayloads, Transport};
     use bdisk_sched::{PageId, Slot};
 

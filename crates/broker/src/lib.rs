@@ -10,17 +10,16 @@
 //!   in-process experiments (lossless or lossy, see [`Backpressure`]),
 //!   with batched flushes and optional worker-pool sharding
 //!   ([`BusTuning`]) on the hot path;
-//! * [`TcpTransport`] — real `std::net` sockets with length-prefixed page
-//!   frames encoded once per slot and shared by every connection,
-//!   per-client send buffers with coalesced vectored writes,
-//!   slow-consumer detection, and drop-or-disconnect backpressure (one
-//!   writer thread per connection — the reference implementation);
-//! * [`EventedTcpTransport`] — the same wire format and semantics on a
-//!   single-threaded epoll event loop (slab-indexed connections, shared
-//!   backlog frames, cursor-resumed partial writes), which is what scales
-//!   to 10k+ concurrent tuners on one core. [`TunerFleet`] is the
-//!   matching receive side: thousands of CRC-checking tuners drained by
-//!   one thread, for fan-out benchmarks.
+//! * [`EventedTcpTransport`] — real `std::net` sockets on a
+//!   single-threaded epoll event loop: length-prefixed page frames
+//!   encoded once per slot and shared by every connection's backlog,
+//!   coalesced vectored writes resumed across partial writes,
+//!   slow-consumer detection, and drop-or-disconnect backpressure. One
+//!   thread serves 10k+ concurrent tuners, so the server's cost does not
+//!   grow a thread per listener. The client half is [`TcpFrameReader`]
+//!   and the self-healing [`TcpClientFeed`]; [`TunerFleet`] is the
+//!   benchmark receive side: thousands of CRC-checking tuners drained by
+//!   one thread.
 //!
 //! Frames carry real page payloads ([`PagePayloads`], sized by
 //! `EngineConfig::page_size` — the paper's `PageSize` knob) as shared
@@ -52,8 +51,8 @@ pub mod faults;
 pub mod fleet;
 pub mod metrics;
 pub mod obs;
+pub mod tcp_client;
 pub mod tcp_evented;
-pub mod tcp_threaded;
 pub mod transport;
 pub mod upstream;
 
@@ -70,11 +69,10 @@ pub use faults::{ChannelFault, FaultCounts, FaultInjector, FaultPlan};
 pub use fleet::{FleetReport, RequesterConfig, TunerFleet, TunerStats};
 pub use metrics::{aggregate, LiveReport};
 pub use obs::register_metrics;
-pub use tcp_evented::EventedTcpTransport;
-pub use tcp_threaded::{
-    backoff_delay, ReconnectPolicy, TcpClientFeed, TcpFrameReader, TcpTransport,
-    TcpTransportConfig, MAX_FRAME_LEN,
+pub use tcp_client::{
+    backoff_delay, ReconnectPolicy, TcpClientFeed, TcpFrameReader, MAX_FRAME_LEN,
 };
+pub use tcp_evented::{EventedTcpTransport, TcpTransportConfig};
 pub use transport::{
     Backpressure, DeliveryStats, Frame, FrameError, PagePayloads, PullRequest, Transport,
 };

@@ -275,8 +275,7 @@ pub(crate) fn tcp() -> &'static TcpMetrics {
         ),
         writer_backlog: registry::histogram(
             "bd_tcp_writer_backlog",
-            "Send-buffer backlog in frames: every connection at each enqueue (threaded), \
-             the slowest connection once per broadcast (evented)",
+            "Send-buffer backlog in frames of the slowest connection, once per broadcast",
             POW2_BOUNDS,
         ),
         coalesce_batch: registry::histogram(

@@ -1,10 +1,11 @@
-//! The **evented** TCP transport: one thread, one `epoll` loop, every
+//! The TCP broadcast server: one thread, one `epoll` loop, every
 //! connection in slab storage — the fan-out path that scales to 10k+
 //! concurrent tuners on a single core.
 //!
-//! Where [`crate::TcpTransport`] spends an OS thread per connection, this
-//! transport multiplexes every socket over a single readiness-polling
-//! event loop ([`mini_mio::Poll`], epoll under the hood):
+//! The paper's server pushes one stream to every client, so its cost
+//! should not grow with the number of listeners. This transport
+//! multiplexes every socket over a single readiness-polling event loop
+//! ([`mini_mio::Poll`], epoll under the hood); no thread is ever spawned:
 //!
 //! * **Slab storage** — connections live in a dense `Vec<Option<EvConn>>`
 //!   indexed by their poll [`Token`]; a free list recycles slots, and
@@ -21,15 +22,21 @@
 //!   `writev`, resuming across partial writes via the cursor. `WouldBlock`
 //!   arms `WRITABLE` interest; the next writable event continues the drain
 //!   and disarms when the backlog empties.
-//! * **Backpressure parity** — the same [`Backpressure`] semantics as the
-//!   threaded transport: `DropNewest` skips the new frame for a full
-//!   backlog, `Disconnect` evicts the slow consumer, `Block` is rejected
-//!   at bind (a broadcast medium never stalls on one receiver).
-//! * **Fault parity** — kills, erasure, corruption, and delay run through
-//!   the same `FaultSwitchboard` choke point and the same
-//!   `encode_corrupted` bit-flipper as the threaded path, so
-//!   `tests/evented_equivalence.rs` can pin the two transports to
-//!   bit-identical delivered streams.
+//! * **Backpressure** — a backlog at [`TcpTransportConfig::queue_capacity`]
+//!   applies the [`Backpressure`] policy: `DropNewest` skips the new frame
+//!   for that connection, `Disconnect` evicts the slow consumer, `Block`
+//!   is rejected at bind (a broadcast medium never stalls on one
+//!   receiver).
+//! * **Faults** — kills, erasure, corruption, and delay run through the
+//!   `FaultSwitchboard` choke point (one seeded injector per channel) and
+//!   the `encode_corrupted` bit-flipper, so a fault plan's schedule is a
+//!   pure function of its seed; `tests/evented_equivalence.rs` pins every
+//!   connection's bytes to a model built from that public surface.
+//! * **Shutdown** — `finish` drains backlogs for at most
+//!   [`TcpTransportConfig::drain_grace`], then hangs up on every
+//!   connection, including any still queued in the listener's accept
+//!   backlog. The listener stays bound, so a restarted engine can take
+//!   over the same address while clients reconnect.
 //!
 //! Writes are batched: frames accumulate in per-connection backlogs and
 //! are flushed every `flush_every` broadcasts (or on a writable event).
@@ -54,9 +61,34 @@ use bdisk_obs::trace;
 use mini_mio::{Events, Interest, Poll, Token};
 
 use crate::faults::{encode_corrupted, FaultCounts, FaultPlan, FaultSwitchboard, InjectedFrame};
-use crate::tcp_threaded::TcpTransportConfig;
 use crate::transport::{Backpressure, DeliveryStats, Frame, PullRequest, Transport};
 use crate::upstream::UpstreamParser;
+
+/// TCP transport tuning knobs.
+#[derive(Debug, Clone)]
+pub struct TcpTransportConfig {
+    /// Frames buffered per connection before backpressure applies.
+    pub queue_capacity: usize,
+    /// Slow-consumer policy ([`Backpressure::Block`] is rejected at bind).
+    pub backpressure: Backpressure,
+    /// Most backlog frames a flush folds into one vectored write.
+    pub max_coalesce: usize,
+    /// How long `finish` keeps draining backlogs into sockets before it
+    /// hangs up on every connection. A peer that stopped reading cannot
+    /// hold shutdown past this bound.
+    pub drain_grace: Duration,
+}
+
+impl Default for TcpTransportConfig {
+    fn default() -> Self {
+        Self {
+            queue_capacity: 256,
+            backpressure: Backpressure::DropNewest,
+            max_coalesce: 64,
+            drain_grace: Duration::from_secs(5),
+        }
+    }
+}
 
 /// Poll token reserved for the listening socket (connection tokens are
 /// slab indices, which can never reach this).
@@ -200,14 +232,13 @@ fn flush_conn_inner(
     Ok(())
 }
 
-/// Broadcast server over loopback TCP, event-loop edition.
+/// Broadcast server over loopback TCP behind the [`Transport`] trait.
 ///
-/// Drop-in replacement for [`crate::TcpTransport`] behind the
-/// [`Transport`] trait: same wire format, same backpressure and fault
-/// semantics, same accounting — but one thread total, and a connection
-/// costs a slab slot instead of an OS thread. The perf ledger's
-/// `throughput_per_s` @`fanout_small` runs on this transport;
-/// `tests/evented_equivalence.rs` pins the two bit-identical.
+/// One thread total: a connection costs a slab slot and a backlog ring,
+/// never an OS thread. Clients read the feed with
+/// [`crate::TcpFrameReader`] or [`crate::TcpClientFeed`];
+/// `tests/evented_equivalence.rs` pins every connection's bytes and the
+/// summed [`DeliveryStats`] to a pure model of the wire.
 pub struct EventedTcpTransport {
     addr: SocketAddr,
     cfg: TcpTransportConfig,
@@ -340,8 +371,7 @@ impl EventedTcpTransport {
     }
 
     /// Runs one turn of the event loop (accepts, reads, resumed writes);
-    /// returns the current client count. The threaded transport's
-    /// `poll_accept` equivalent.
+    /// returns the current client count.
     pub fn poll_accept(&mut self) -> usize {
         let mut stats = DeliveryStats::default();
         self.pump(Some(Duration::ZERO), &mut stats);
@@ -611,14 +641,17 @@ impl Transport for EventedTcpTransport {
             let mut out: Vec<InjectedFrame> = Vec::new();
             match self.faults.injector_mut(frame.channel) {
                 Some(inj) => {
-                    // Per-client kills first, exactly as on the threaded
-                    // path: a killed connection misses even this slot.
+                    // Per-client kills first: a killed connection misses
+                    // even this slot's frame, like a receiver whose link
+                    // just died. Earlier slots still reach it: its backlog
+                    // is drained into the socket before the hangup.
                     for idx in 0..self.slab.len() {
-                        let Some(conn) = self.slab[idx].as_ref() else {
+                        let Some(conn) = self.slab[idx].as_mut() else {
                             continue;
                         };
                         if inj.plan().kills_client(seq, conn.id) {
                             inj.record_kill(seq, conn.id);
+                            let _ = flush_conn(&self.poll, conn, idx, self.cfg.max_coalesce);
                             if let Some(id) = evict_slot(
                                 &self.poll,
                                 &mut self.slab,
@@ -697,11 +730,9 @@ impl Transport for EventedTcpTransport {
 
     fn finish(&mut self) -> DeliveryStats {
         let mut stats = DeliveryStats::default();
-        // Drain what the sockets will take, bounded by the same timeout
-        // that caps a threaded writer: a peer that stopped reading cannot
-        // wedge shutdown.
-        let grace = self.cfg.write_timeout.unwrap_or(Duration::from_secs(5));
-        let deadline = Instant::now() + grace;
+        // Drain what the sockets will take, bounded by the grace: a peer
+        // that stopped reading cannot wedge shutdown.
+        let deadline = Instant::now() + self.cfg.drain_grace;
         loop {
             let mut remaining = self.flush_ready(&mut stats);
             remaining |= self.slab.iter().flatten().any(|c| !c.backlog.is_empty());
@@ -710,6 +741,15 @@ impl Transport for EventedTcpTransport {
             }
             // Armed connections drain via their writable events.
             self.pump(Some(Duration::from_millis(1)), &mut stats);
+        }
+        // Hang up on connections still in the accept queue (a client
+        // reconnecting as the run ends): left there, they stay open and
+        // block that client's read until the transport is dropped. This
+        // runs before the slab is severed, so the reconnects that severing
+        // provokes stay queued for a restarted engine instead of being cut
+        // off again; the listener itself stays bound.
+        while let Ok((stream, _)) = self.listener.accept() {
+            let _ = stream.shutdown(Shutdown::Both);
         }
         for slot in &mut self.slab {
             if let Some(conn) = slot.take() {
@@ -738,7 +778,7 @@ impl Drop for EventedTcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp_threaded::TcpFrameReader;
+    use crate::tcp_client::TcpFrameReader;
     use crate::transport::PagePayloads;
     use bdisk_sched::{PageId, Slot};
 
@@ -842,7 +882,7 @@ mod tests {
     fn drop_newest_applies_when_backlog_and_socket_fill() {
         let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
             queue_capacity: 2,
-            write_timeout: Some(Duration::from_millis(100)),
+            drain_grace: Duration::from_millis(100),
             ..TcpTransportConfig::default()
         })
         .unwrap();
@@ -870,7 +910,7 @@ mod tests {
         let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
             queue_capacity: 2,
             backpressure: Backpressure::Disconnect,
-            write_timeout: Some(Duration::from_millis(100)),
+            drain_grace: Duration::from_millis(100),
             ..TcpTransportConfig::default()
         })
         .unwrap();
@@ -898,7 +938,7 @@ mod tests {
             let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
                 queue_capacity: CAPACITY,
                 backpressure,
-                write_timeout: Some(Duration::from_millis(100)),
+                drain_grace: Duration::from_millis(100),
                 ..TcpTransportConfig::default()
             })
             .unwrap();
@@ -1043,6 +1083,58 @@ mod tests {
             transport.slab.len() <= 4,
             "slab grew to {} slots for 2 concurrent clients",
             transport.slab.len()
+        );
+    }
+
+    /// Shutdown is bounded by the drain grace, not by the peers: dropping
+    /// the transport while a never-reading peer still has frames queued
+    /// (its kernel buffers full) returns promptly.
+    #[test]
+    fn shutdown_returns_promptly_past_a_stalled_peer() {
+        let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+            queue_capacity: 8,
+            drain_grace: Duration::from_millis(200),
+            ..TcpTransportConfig::default()
+        })
+        .unwrap();
+        let stalled = TcpFrameReader::connect(transport.local_addr()).unwrap();
+        assert!(transport.wait_for_clients(1, Duration::from_secs(5)));
+        let payloads = PagePayloads::generate(4, 16 * 1024);
+        for seq in 0..512u64 {
+            transport.broadcast(payloads.frame(seq, Slot::Page(PageId(seq as u32 % 4))));
+        }
+        assert!(
+            transport
+                .slab
+                .iter()
+                .flatten()
+                .any(|c| !c.backlog.is_empty()),
+            "the stalled peer's backlog drained; the grace bound went untested"
+        );
+        let start = Instant::now();
+        drop(transport);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(2),
+            "shutdown took {elapsed:?} (drain grace is 200ms)"
+        );
+        drop(stalled);
+    }
+
+    /// A connection still in the listener's accept queue is closed by
+    /// `finish`, so its client reads end-of-stream instead of blocking for
+    /// as long as the transport lives.
+    #[test]
+    fn finish_hangs_up_on_connections_never_polled() {
+        let mut transport = EventedTcpTransport::bind(cfg()).unwrap();
+        let mut late = TcpStream::connect(transport.local_addr()).unwrap();
+        transport.finish();
+        late.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 1];
+        assert_eq!(
+            late.read(&mut buf).expect("hung up, not left open"),
+            0,
+            "end of stream"
         );
     }
 }

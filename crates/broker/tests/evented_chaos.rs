@@ -5,10 +5,9 @@
 //! recovered at a later periodic broadcast — with zero panics, and the
 //! loop's slab must keep absorbing the kill/reconnect churn.
 //!
-//! This is `tcp_faults.rs`'s chaos scenario pointed at
-//! [`EventedTcpTransport`] at 32× the fleet size: the thread-per-connection
-//! reference would burn the core on writer-thread context switches long
-//! before 256 clients, which is exactly why the event loop exists.
+//! This is `tcp_faults.rs`'s chaos scenario at 32× the fleet size: one
+//! event-loop thread serves all 256 connections, where a thread per
+//! connection would burn the core on context switches.
 
 use std::time::Duration;
 

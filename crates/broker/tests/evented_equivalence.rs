@@ -1,67 +1,35 @@
-//! Property test (satellite of the event-loop tentpole): the evented
-//! transport is **bit-identical** to the threaded reference. For any
-//! multi-channel frame sequence (pages, repair slots, padding) under any
-//! seeded fault plan (erasure, corruption, delay — kills excluded, accept
-//! order makes per-connection kill draws racy), every connection receives
-//! the exact same wire bytes from both transports, and the summed
-//! `DeliveryStats` agree.
+//! Property test: the TCP transport puts **exactly the modelled bytes** on
+//! every connection. For any multi-channel frame sequence (pages, repair
+//! slots, padding) under any seeded fault plan (erasure, corruption,
+//! delay — kills excluded, accept order makes per-connection kill draws
+//! racy), every connection's raw byte stream equals a pure model of the
+//! wire, and the summed `DeliveryStats` equal `clients ×` the model's frame
+//! and byte counts.
 //!
-//! Runs are lossless by capacity (queue holds every frame, so `DropNewest`
-//! never fires) and `max_queue` is zeroed before comparing: queue-depth
-//! *evolution* legitimately differs (threaded writers drain concurrently;
-//! the evented loop flushes on its coalescing cadence) while the delivered
-//! stream must not.
+//! The model uses public API only: one [`FaultInjector`] per faulty
+//! channel, [`Frame::encode`] for clean frames, and a restatement of the
+//! corruption bit flip. Runs are lossless by capacity (the queue holds
+//! every frame, so `DropNewest` never fires) and `max_queue` is zeroed
+//! before comparing: queue depth depends on how much each socket accepted
+//! per flush, while the delivered stream must not.
 
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bdisk_broker::faults::InjectedFrame;
 use bdisk_broker::{
-    Backpressure, DeliveryStats, EventedTcpTransport, FaultPlan, Frame, PagePayloads, TcpTransport,
-    TcpTransportConfig, Transport,
+    Backpressure, DeliveryStats, EventedTcpTransport, FaultInjector, FaultPlan, Frame,
+    PagePayloads, TcpTransportConfig, Transport,
 };
 use bdisk_sched::{PageId, RepairId, Slot};
 use proptest::prelude::*;
 
-/// The slice of both transports this test drives.
-trait Server: Transport {
-    fn addr(&self) -> SocketAddr;
-    fn wait(&mut self, n: usize) -> bool;
-    fn plan(&mut self, plan: FaultPlan);
-    fn chan_plan(&mut self, channel: u16, plan: FaultPlan);
-}
-
-impl Server for TcpTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn wait(&mut self, n: usize) -> bool {
-        self.wait_for_clients(n, Duration::from_secs(10))
-    }
-    fn plan(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
-    fn chan_plan(&mut self, channel: u16, plan: FaultPlan) {
-        self.set_channel_fault_plan(channel, plan);
-    }
-}
-
-impl Server for EventedTcpTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn wait(&mut self, n: usize) -> bool {
-        self.wait_for_clients(n, Duration::from_secs(10))
-    }
-    fn plan(&mut self, plan: FaultPlan) {
-        self.set_fault_plan(plan);
-    }
-    fn chan_plan(&mut self, channel: u16, plan: FaultPlan) {
-        self.set_channel_fault_plan(channel, plan);
-    }
-}
+/// Bytes of length prefix ahead of each frame body on the wire.
+const LEN_PREFIX: usize = 4;
 
 /// A reader that slurps its connection's entire wire stream until the
 /// server closes it. Comparing raw bytes is the strongest equivalence:
@@ -98,23 +66,81 @@ fn build_frames(payloads: &PagePayloads, frames: usize, channels: u16) -> Vec<Fr
         .collect()
 }
 
+/// The corruption fault's damage: one bit of the frame body, chosen by
+/// `entropy`, never a length-prefix bit.
+fn flip_bit(wire: &mut [u8], entropy: u64) {
+    let body_bits = (wire.len() - LEN_PREFIX) * 8;
+    let bit = (entropy % body_bits as u64) as usize;
+    wire[LEN_PREFIX + bit / 8] ^= 1 << (bit % 8);
+}
+
+/// The byte stream every connection must receive, and how many frames it
+/// carries. A channel runs through its own injector when its plan (the
+/// override if set, the default otherwise) can fault, and clean otherwise.
+fn model_wire(
+    frames: &[Frame],
+    default_plan: FaultPlan,
+    chan_plan: Option<(u16, FaultPlan)>,
+) -> (Vec<u8>, u64) {
+    let mut injectors: BTreeMap<u16, Option<FaultInjector>> = BTreeMap::new();
+    let mut out: Vec<InjectedFrame> = Vec::new();
+    let mut wire = Vec::new();
+    let mut count = 0u64;
+    for frame in frames {
+        let channel = frame.channel;
+        let injector = injectors.entry(channel).or_insert_with(|| {
+            let plan = match chan_plan {
+                Some((c, plan)) if c == channel => plan,
+                _ => default_plan,
+            };
+            (!plan.is_none()).then(|| FaultInjector::for_channel(plan, channel))
+        });
+        out.clear();
+        match injector {
+            Some(inj) => inj.step(frame.clone(), &mut out),
+            None => out.push(InjectedFrame {
+                frame: frame.clone(),
+                corrupt: None,
+            }),
+        }
+        for injected in &out {
+            let mut bytes = injected.frame.encode();
+            if let Some(entropy) = injected.corrupt {
+                flip_bit(&mut bytes, entropy);
+            }
+            wire.extend_from_slice(&bytes);
+            count += 1;
+        }
+    }
+    (wire, count)
+}
+
 /// Broadcasts `frames` to `clients` concurrent readers and returns every
 /// connection's raw byte stream plus the summed stats (`max_queue`
 /// zeroed — see module docs).
-fn run_server<T: Server>(
-    mut transport: T,
+fn run_server(
     clients: usize,
     frames: &[Frame],
     default_plan: FaultPlan,
     chan_plan: Option<(u16, FaultPlan)>,
 ) -> (Vec<Vec<u8>>, DeliveryStats) {
-    transport.plan(default_plan);
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+        queue_capacity: frames.len() + 8,
+        backpressure: Backpressure::DropNewest,
+        max_coalesce: 16,
+        ..TcpTransportConfig::default()
+    })
+    .expect("bind evented");
+    transport.set_fault_plan(default_plan);
     if let Some((channel, plan)) = chan_plan {
-        transport.chan_plan(channel, plan);
+        transport.set_channel_fault_plan(channel, plan);
     }
-    let addr = transport.addr();
+    let addr = transport.local_addr();
     let readers: Vec<_> = (0..clients).map(|_| spawn_reader(addr)).collect();
-    assert!(transport.wait(clients), "readers failed to connect");
+    assert!(
+        transport.wait_for_clients(clients, Duration::from_secs(10)),
+        "readers failed to connect"
+    );
     let mut stats = DeliveryStats::default();
     for frame in frames {
         stats.absorb(transport.broadcast(frame.clone()));
@@ -128,20 +154,11 @@ fn run_server<T: Server>(
     (streams, stats)
 }
 
-fn config(frames: usize) -> TcpTransportConfig {
-    TcpTransportConfig {
-        queue_capacity: frames + 8,
-        backpressure: Backpressure::DropNewest,
-        max_coalesce: 16,
-        ..TcpTransportConfig::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn evented_transport_matches_threaded_bit_for_bit(
+    fn evented_transport_matches_the_wire_model_bit_for_bit(
         clients in 1usize..5,
         frames in 1usize..120,
         channels in 1u16..4,
@@ -164,30 +181,27 @@ proptest! {
             FaultPlan::none()
         };
         // Channel 0 gets its own (differently seeded) plan, so the
-        // per-channel switchboard path is compared too.
+        // per-channel switchboard path is modelled too.
         let chan_plan = (faulty == 1 && channels > 1).then(|| {
             (0u16, FaultPlan { seed: seed ^ 0xABCD, erasure: 0.3, ..FaultPlan::none() })
         });
 
-        let (threaded_streams, threaded_stats) = run_server(
-            TcpTransport::bind(config(frames)).expect("bind threaded"),
-            clients, &specs, default_plan, chan_plan,
-        );
-        let (evented_streams, evented_stats) = run_server(
-            EventedTcpTransport::bind(config(frames)).expect("bind evented"),
-            clients, &specs, default_plan, chan_plan,
-        );
+        let (model, model_frames) = model_wire(&specs, default_plan, chan_plan);
+        let (streams, stats) = run_server(clients, &specs, default_plan, chan_plan);
 
-        // Broadcast-once: every connection of either transport must carry
-        // the identical byte stream (accept order is racy, so compare
-        // against a single canonical stream rather than pairwise by index).
-        let canon = &threaded_streams[0];
-        for (i, stream) in threaded_streams.iter().enumerate() {
-            prop_assert_eq!(stream, canon, "threaded conn {} diverged", i);
+        // Broadcast-once: every connection carries the modelled stream
+        // (accept order is racy, so no connection is special).
+        for (i, stream) in streams.iter().enumerate() {
+            prop_assert_eq!(stream, &model, "conn {} diverged from the wire model", i);
         }
-        for (i, stream) in evented_streams.iter().enumerate() {
-            prop_assert_eq!(stream, canon, "evented conn {} diverged from threaded", i);
-        }
-        prop_assert_eq!(threaded_stats, evented_stats);
+        let clients = clients as u64;
+        prop_assert_eq!(
+            stats,
+            DeliveryStats {
+                delivered: clients * model_frames,
+                bytes: clients * model.len() as u64,
+                ..DeliveryStats::default()
+            }
+        );
     }
 }

@@ -6,24 +6,23 @@
 //!   zero upstream requests) — produces the byte-identical wire stream of
 //!   an engine that never heard of pull. The arbiter in the slot path
 //!   must be invisible until it actually serves something.
-//! * **Upstream equivalence**: the threaded and evented transports drain
-//!   the identical request sequence from the identical upstream byte
-//!   stream — including per-connection FIFO order, interleaved garbage,
-//!   and writes fragmented down to single bytes (the evented loop's
-//!   readable-drain must reassemble records across arbitrarily many
-//!   readable turns).
+//! * **Upstream fidelity**: the TCP transport drains exactly the request
+//!   sequence each connection's upstream byte stream encodes — including
+//!   per-connection FIFO order, interleaved garbage, and writes
+//!   fragmented down to single bytes (the event loop's readable-drain
+//!   must reassemble records across arbitrarily many readable turns).
 //! * **Garbage never kills**: flooding the backchannel with seeded junk
-//!   neither panics nor disconnects either transport; a valid request
+//!   neither panics nor disconnects the transport; a valid request
 //!   sent after the flood still parses, and the downstream broadcast
 //!   still reaches the abusive client intact.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bdisk_broker::{
     encode_request, Backpressure, BroadcastEngine, DeliveryStats, EngineConfig,
-    EventedTcpTransport, Frame, PagePayloads, PullConfig, PullMode, PullRequest, TcpTransport,
+    EventedTcpTransport, Frame, PagePayloads, PullConfig, PullMode, PullRequest,
     TcpTransportConfig, Transport,
 };
 use bdisk_sched::{BroadcastPlan, DiskLayout, PageId};
@@ -103,32 +102,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Upstream equivalence: threaded vs evented
+// Upstream fidelity
 // ---------------------------------------------------------------------------
-
-/// The upstream-capable slice of both transports.
-trait UpstreamServer: Transport {
-    fn addr(&self) -> SocketAddr;
-    fn wait(&mut self, n: usize) -> bool;
-}
-
-impl UpstreamServer for TcpTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn wait(&mut self, n: usize) -> bool {
-        self.wait_for_clients(n, Duration::from_secs(10))
-    }
-}
-
-impl UpstreamServer for EventedTcpTransport {
-    fn addr(&self) -> SocketAddr {
-        self.local_addr()
-    }
-    fn wait(&mut self, n: usize) -> bool {
-        self.wait_for_clients(n, Duration::from_secs(10))
-    }
-}
 
 fn test_config() -> TcpTransportConfig {
     TcpTransportConfig {
@@ -140,7 +115,7 @@ fn test_config() -> TcpTransportConfig {
 
 /// Polls `take_requests` until `expected` requests arrive (or panics
 /// after a generous deadline — requests must never be silently lost).
-fn drain_requests<T: UpstreamServer>(transport: &mut T, expected: usize) -> Vec<PullRequest> {
+fn drain_requests(transport: &mut EventedTcpTransport, expected: usize) -> Vec<PullRequest> {
     let mut out = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(20);
     while out.len() < expected {
@@ -159,8 +134,8 @@ fn drain_requests<T: UpstreamServer>(transport: &mut T, expected: usize) -> Vec<
     out
 }
 
-/// The upstream byte stream both transports must parse identically: valid
-/// records interleaved with junk that cannot contain the record magic.
+/// An upstream byte stream and the requests it encodes: valid records
+/// interleaved with junk that cannot contain the record magic.
 fn upstream_script(user_base: u32, requests: u32) -> (Vec<u8>, Vec<PullRequest>) {
     let mut bytes = Vec::new();
     let mut expected = Vec::new();
@@ -181,14 +156,19 @@ fn upstream_script(user_base: u32, requests: u32) -> (Vec<u8>, Vec<PullRequest>)
 }
 
 /// Sends two connections' upstream scripts — one written whole, one
-/// fragmented byte-by-byte — and returns the transport's drained
-/// requests. Keeps the streams alive until the drain completes so no
-/// bytes race a disconnect.
-fn run_upstream<T: UpstreamServer>(mut transport: T) -> Vec<PullRequest> {
-    let addr = transport.addr();
+/// fragmented byte-by-byte — and checks that the transport drains exactly
+/// each script's requests in order. Keeps the streams alive until the
+/// drain completes so no bytes race a disconnect.
+#[test]
+fn evented_drains_each_upstream_stream_in_order() {
+    let mut transport = EventedTcpTransport::bind(test_config()).expect("bind evented");
+    let addr = transport.local_addr();
     let mut whole = TcpStream::connect(addr).expect("connect whole-writer");
     let mut fragmented = TcpStream::connect(addr).expect("connect fragmented-writer");
-    assert!(transport.wait(2), "upstream writers failed to connect");
+    assert!(
+        transport.wait_for_clients(2, Duration::from_secs(10)),
+        "upstream writers failed to connect"
+    );
 
     let (bytes_a, expected_a) = upstream_script(0, 24);
     let (bytes_b, expected_b) = upstream_script(1000, 24);
@@ -204,7 +184,8 @@ fn run_upstream<T: UpstreamServer>(mut transport: T) -> Vec<PullRequest> {
 
     let drained = drain_requests(&mut transport, expected_a.len() + expected_b.len());
 
-    // Per-connection FIFO order must survive the shared drain queue.
+    // Per-connection FIFO order must survive the shared drain queue;
+    // cross-connection interleaving is free.
     let from_a: Vec<PullRequest> = drained.iter().filter(|r| r.user < 1000).copied().collect();
     let from_b: Vec<PullRequest> = drained.iter().filter(|r| r.user >= 1000).copied().collect();
     assert_eq!(
@@ -214,24 +195,6 @@ fn run_upstream<T: UpstreamServer>(mut transport: T) -> Vec<PullRequest> {
     assert_eq!(
         from_b, expected_b,
         "fragmented-writer requests reordered or lost"
-    );
-    drained
-}
-
-#[test]
-fn threaded_and_evented_drain_the_same_upstream_stream() {
-    let threaded = run_upstream(TcpTransport::bind(test_config()).expect("bind threaded"));
-    let evented = run_upstream(EventedTcpTransport::bind(test_config()).expect("bind evented"));
-    // Cross-connection interleaving is racy on both sides; the canonical
-    // comparison is the order-normalized multiset.
-    let normalize = |mut v: Vec<PullRequest>| {
-        v.sort_by_key(|r| (r.user, r.page.0, r.min_seq));
-        v
-    };
-    assert_eq!(
-        normalize(threaded),
-        normalize(evented),
-        "threaded and evented transports disagree on the upstream stream"
     );
 }
 
@@ -260,10 +223,14 @@ fn garbage_flood() -> Vec<u8> {
         .collect()
 }
 
-fn garbage_never_kills<T: UpstreamServer>(mut transport: T) {
-    let addr = transport.addr();
-    let mut abuser = TcpStream::connect(addr).expect("connect abuser");
-    assert!(transport.wait(1), "abuser failed to connect");
+#[test]
+fn upstream_garbage_never_kills_the_evented_transport() {
+    let mut transport = EventedTcpTransport::bind(test_config()).expect("bind evented");
+    let mut abuser = TcpStream::connect(transport.local_addr()).expect("connect abuser");
+    assert!(
+        transport.wait_for_clients(1, Duration::from_secs(10)),
+        "abuser failed to connect"
+    );
 
     abuser.write_all(&garbage_flood()).expect("garbage write");
     // A valid record after the flood: the parser must have resynced.
@@ -297,14 +264,4 @@ fn garbage_never_kills<T: UpstreamServer>(mut transport: T) {
     let frame = Frame::decode(&wire[4..]).expect("downstream frame survived the flood");
     assert_eq!(frame.seq, 0);
     assert_eq!(frame.slot, bdisk_sched::Slot::Page(PageId(3)));
-}
-
-#[test]
-fn upstream_garbage_never_kills_the_threaded_transport() {
-    garbage_never_kills(TcpTransport::bind(test_config()).expect("bind threaded"));
-}
-
-#[test]
-fn upstream_garbage_never_kills_the_evented_transport() {
-    garbage_never_kills(EventedTcpTransport::bind(test_config()).expect("bind evented"));
 }

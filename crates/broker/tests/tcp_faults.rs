@@ -6,8 +6,8 @@
 use std::time::Duration;
 
 use bdisk_broker::{
-    Backpressure, BroadcastEngine, EngineConfig, FaultPlan, LiveClient, ReconnectPolicy,
-    TcpClientFeed, TcpTransport, TcpTransportConfig,
+    Backpressure, BroadcastEngine, EngineConfig, EventedTcpTransport, FaultPlan, LiveClient,
+    ReconnectPolicy, TcpClientFeed, TcpTransportConfig,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
@@ -48,7 +48,7 @@ fn chaos_fleet_completes_under_seeded_faults() {
     let (cfg, layout, program) = small_setup();
     let period = program.period() as u64;
 
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 4096,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 64,
@@ -144,7 +144,7 @@ fn killed_client_reconnects_and_finishes() {
     let (cfg, layout, program) = small_setup();
     let period = program.period() as u64;
 
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 4096,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 64,

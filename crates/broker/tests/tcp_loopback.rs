@@ -4,12 +4,19 @@
 use std::time::{Duration, Instant};
 
 use bdisk_broker::{
-    Backpressure, BroadcastEngine, EngineConfig, LiveClient, TcpFrameReader, TcpTransport,
+    Backpressure, BroadcastEngine, EngineConfig, EventedTcpTransport, LiveClient, TcpFrameReader,
     TcpTransportConfig, Transport,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
 use bdisk_sim::SimConfig;
+
+/// Page size for the slow-consumer runs. The event loop writes frames
+/// straight into the kernel's socket buffers, which swallow thousands of
+/// small frames; 64 KiB pages fill them within a few frames, so the
+/// 4-frame backlog (and the backpressure policy) is what the slow reader
+/// actually meets.
+const SLOW_PAGE: usize = 64 * 1024;
 
 fn small_setup() -> (SimConfig, DiskLayout, BroadcastProgram) {
     let layout = DiskLayout::with_delta(&[10, 40, 50], 2).unwrap();
@@ -31,7 +38,7 @@ fn small_setup() -> (SimConfig, DiskLayout, BroadcastProgram) {
 #[test]
 fn live_client_completes_over_tcp() {
     let (cfg, layout, program) = small_setup();
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 4096,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 64,
@@ -72,7 +79,7 @@ fn live_client_completes_over_tcp() {
 #[test]
 fn slow_consumer_triggers_drops() {
     let (_, _, program) = small_setup();
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 4,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 16,
@@ -99,6 +106,7 @@ fn slow_consumer_triggers_drops() {
         EngineConfig {
             max_slots: 2_000,
             stop_when_no_clients: false,
+            page_size: SLOW_PAGE,
             ..EngineConfig::default()
         },
     );
@@ -121,7 +129,7 @@ fn slow_consumer_triggers_drops() {
 #[test]
 fn slow_consumer_gets_disconnected() {
     let (_, _, program) = small_setup();
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 4,
         backpressure: Backpressure::Disconnect,
         max_coalesce: 16,
@@ -146,6 +154,7 @@ fn slow_consumer_gets_disconnected() {
         EngineConfig {
             max_slots: 100_000,
             stop_when_no_clients: true,
+            page_size: SLOW_PAGE,
             ..EngineConfig::default()
         },
     );

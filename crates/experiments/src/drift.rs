@@ -27,9 +27,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bdisk_broker::{
-    Backpressure, BroadcastEngine, BusTuning, ClientEpoch, DriftBook, EngineConfig, FaultPlan,
-    InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed, TcpTransport,
-    TcpTransportConfig,
+    Backpressure, BroadcastEngine, BusTuning, ClientEpoch, DriftBook, EngineConfig,
+    EventedTcpTransport, FaultPlan, InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy,
+    TcpClientFeed, TcpTransportConfig, Transport,
 };
 use bdisk_cache::PolicyContext;
 use bdisk_sched::{BroadcastPlan, BroadcastProgram, DiskLayout, PageId, Slot};
@@ -243,7 +243,7 @@ fn adaptive(
         c = p.swap_cycles,
     );
 
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 8192,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 64,
@@ -306,9 +306,12 @@ fn adaptive(
 
     // The "crash": every connection dies mid-stream; the listener (the
     // broker's well-known port) comes straight back up, as a restarted
-    // process would. Clients notice the hangup and reconnect with seeded
-    // backoff while we stand the replacement engine up.
-    let severed = transport.disconnect_all();
+    // process would. `finish` severs every connection but keeps the
+    // listener bound, which also avoids fighting TIME_WAIT for the same
+    // port inside one process. Clients notice the hangup and reconnect
+    // with seeded backoff while we stand the replacement engine up.
+    let severed = transport.active_clients();
+    transport.finish();
     assert_eq!(severed, n, "the kill should sever the whole fleet");
     let resume = checkpoint.snapshot();
     assert_eq!(

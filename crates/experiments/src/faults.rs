@@ -24,8 +24,9 @@
 use std::time::Duration;
 
 use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, FaultPlan, InMemoryBus,
-    LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed, TcpTransport, TcpTransportConfig,
+    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, EventedTcpTransport,
+    FaultPlan, InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed,
+    TcpTransportConfig,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
@@ -224,7 +225,7 @@ fn chaos(scale: Scale, opts: &LiveOptions) {
          {requests} requests each ---"
     );
 
-    let mut transport = TcpTransport::bind(TcpTransportConfig {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
         queue_capacity: 8192,
         backpressure: Backpressure::DropNewest,
         max_coalesce: 64,

@@ -19,8 +19,7 @@ use std::time::Duration;
 
 use bdisk_broker::{
     aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, EventedTcpTransport,
-    InMemoryBus, LiveClient, LiveClientResult, TcpFrameReader, TcpTransport, TcpTransportConfig,
-    Transport,
+    InMemoryBus, LiveClient, LiveClientResult, TcpFrameReader, TcpTransportConfig,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::BroadcastPlan;
@@ -33,12 +32,9 @@ use crate::common::{self, Scale};
 pub enum LiveTransport {
     /// In-memory broadcast bus, lossless (exact simulator parity).
     Bus,
-    /// Loopback TCP with drop-newest backpressure, one writer thread per
-    /// connection.
+    /// Loopback TCP on the single-threaded epoll event loop, drop-newest
+    /// backpressure.
     Tcp,
-    /// Loopback TCP on the single-threaded epoll event loop — same wire
-    /// format and semantics, scales to 10k+ connections.
-    TcpEvented,
 }
 
 impl std::str::FromStr for LiveTransport {
@@ -47,11 +43,8 @@ impl std::str::FromStr for LiveTransport {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "bus" => Ok(LiveTransport::Bus),
-            "tcp" | "tcp-threaded" => Ok(LiveTransport::Tcp),
-            "tcp-evented" | "evented" => Ok(LiveTransport::TcpEvented),
-            other => Err(format!(
-                "unknown transport '{other}' (expected bus, tcp, or tcp-evented)"
-            )),
+            "tcp" => Ok(LiveTransport::Tcp),
+            other => Err(format!("unknown transport '{other}' (expected bus or tcp)")),
         }
     }
 }
@@ -164,29 +157,14 @@ pub fn run(scale: Scale, opts: &LiveOptions) {
         n_clients,
         match opts.transport {
             LiveTransport::Bus => "in-memory bus",
-            LiveTransport::Tcp => "loopback TCP (threaded)",
-            LiveTransport::TcpEvented => "loopback TCP (evented)",
+            LiveTransport::Tcp => "loopback TCP",
         },
         opts.channels
     );
 
-    let tcp_config = TcpTransportConfig {
-        queue_capacity: 8192,
-        backpressure: Backpressure::DropNewest,
-        max_coalesce: 64,
-        ..TcpTransportConfig::default()
-    };
     let (report, results) = match opts.transport {
         LiveTransport::Bus => run_bus(scale, opts, &roster, &layout, &plan),
-        LiveTransport::Tcp => {
-            let transport = TcpTransport::bind(tcp_config).expect("loopback bind must succeed");
-            run_tcp(scale, opts, &roster, &layout, &plan, transport)
-        }
-        LiveTransport::TcpEvented => {
-            let transport =
-                EventedTcpTransport::bind(tcp_config).expect("loopback bind must succeed");
-            run_tcp(scale, opts, &roster, &layout, &plan, transport)
-        }
+        LiveTransport::Tcp => run_tcp(scale, opts, &roster, &layout, &plan),
     };
 
     println!(
@@ -325,7 +303,7 @@ pub fn run(scale: Scale, opts: &LiveOptions) {
                  (tolerance {BUS_TOLERANCE:e})"
             );
         }
-        LiveTransport::Tcp | LiveTransport::TcpEvented => {
+        LiveTransport::Tcp => {
             if worst_hit_gap <= TCP_HIT_TOLERANCE {
                 println!(
                     "parity: OK — worst per-policy hit-rate gap {:.4} within tolerance {}",
@@ -533,39 +511,20 @@ fn run_bus(
     (report, results)
 }
 
-/// The accessors `run_tcp` needs beyond [`Transport`], provided by both
-/// TCP server implementations.
-trait TcpServer: Transport {
-    fn local_addr(&self) -> std::net::SocketAddr;
-    fn wait_for_clients(&mut self, n: usize, timeout: Duration) -> bool;
-}
-
-impl TcpServer for TcpTransport {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        TcpTransport::local_addr(self)
-    }
-    fn wait_for_clients(&mut self, n: usize, timeout: Duration) -> bool {
-        TcpTransport::wait_for_clients(self, n, timeout)
-    }
-}
-
-impl TcpServer for EventedTcpTransport {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        EventedTcpTransport::local_addr(self)
-    }
-    fn wait_for_clients(&mut self, n: usize, timeout: Duration) -> bool {
-        EventedTcpTransport::wait_for_clients(self, n, timeout)
-    }
-}
-
-fn run_tcp<T: TcpServer>(
+fn run_tcp(
     scale: Scale,
     opts: &LiveOptions,
     roster: &[(PolicyKind, u64)],
     layout: &bdisk_sched::DiskLayout,
     plan: &BroadcastPlan,
-    mut transport: T,
 ) -> (bdisk_broker::EngineReport, Vec<LiveClientResult>) {
+    let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+        queue_capacity: 8192,
+        backpressure: Backpressure::DropNewest,
+        max_coalesce: 64,
+        ..TcpTransportConfig::default()
+    })
+    .expect("loopback bind must succeed");
     let addr = transport.local_addr();
 
     let handles: Vec<_> = roster
