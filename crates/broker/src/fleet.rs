@@ -104,8 +104,7 @@ impl FleetReport {
 /// Per-tuner reassembly state inside the drainer.
 struct Tuner {
     stream: TcpStream,
-    /// Bytes received but not yet parsed into complete frames.
-    pending: Vec<u8>,
+    rx: Reassembler,
     stats: TunerStats,
     open: bool,
     /// Upstream request cadence, when this is a requester fleet.
@@ -149,23 +148,62 @@ impl TunerStats {
     }
 }
 
-impl Tuner {
-    /// Feeds freshly-read bytes to the parser. When no partial frame is
-    /// buffered, frames parse straight out of the read scratch and only a
-    /// trailing fragment is copied — the common case re-buffers nothing.
-    fn ingest(&mut self, chunk: &[u8]) {
-        if self.pending.is_empty() {
-            let consumed = self.stats.consume(chunk);
-            self.pending.extend_from_slice(&chunk[consumed..]);
-        } else {
-            self.pending.extend_from_slice(chunk);
-            let consumed = self.stats.consume(&self.pending);
-            if consumed > 0 {
-                self.pending.drain(..consumed);
+/// Incremental reassembly of one connection's length-prefixed frames.
+///
+/// Frames parse straight out of each read's buffer; only a frame that
+/// straddles two reads is copied, and only its own bytes. So `pending`
+/// never holds more than one frame, whatever the read size.
+#[derive(Debug, Default)]
+struct Reassembler {
+    /// The leading bytes of the one frame cut off by the end of a read.
+    pending: Vec<u8>,
+}
+
+impl Reassembler {
+    /// Accounts every frame `chunk` completes into `stats` and keeps the
+    /// trailing fragment, if any.
+    fn ingest(&mut self, stats: &mut TunerStats, mut chunk: &[u8]) {
+        if !self.pending.is_empty() {
+            // Copy just the bytes that complete the buffered frame: the
+            // rest of its length prefix if that was cut, then its body.
+            if self.pending.len() < LEN_PREFIX {
+                let take = (LEN_PREFIX - self.pending.len()).min(chunk.len());
+                self.pending.extend_from_slice(&chunk[..take]);
+                chunk = &chunk[take..];
             }
+            let Some(frame_len) = self.pending_frame_len() else {
+                return;
+            };
+            let take = (frame_len - self.pending.len()).min(chunk.len());
+            self.keep(&chunk[..take]);
+            chunk = &chunk[take..];
+            if self.pending.len() < frame_len {
+                return;
+            }
+            let consumed = stats.consume(&self.pending);
+            debug_assert_eq!(consumed, frame_len);
+            self.pending.clear();
         }
+        let consumed = stats.consume(chunk);
+        self.keep(&chunk[consumed..]);
     }
 
+    /// Wire length of the buffered frame, once its length prefix is in.
+    fn pending_frame_len(&self) -> Option<usize> {
+        let prefix = self.pending.get(..LEN_PREFIX)?.try_into();
+        Some(LEN_PREFIX + u32::from_le_bytes(prefix.expect("a LEN_PREFIX-byte slice")) as usize)
+    }
+
+    /// Appends part of the buffered frame, growing the buffer to exactly
+    /// what it holds (never the doubling `extend` would pick), so its
+    /// capacity stays within one frame.
+    fn keep(&mut self, bytes: &[u8]) {
+        self.pending.reserve_exact(bytes.len());
+        self.pending.extend_from_slice(bytes);
+    }
+}
+
+impl Tuner {
     /// Enqueues any requests the frame count now owes (one per `every`
     /// frames) and flushes the outbox as far as the socket will take it.
     /// `user` is the tuner's fleet index — the identity the broker's
@@ -286,7 +324,7 @@ fn drain_fleet(
         poll.register(&stream, Token(i), Interest::READABLE)?;
         tuners.push(Tuner {
             stream,
-            pending: Vec::new(),
+            rx: Reassembler::default(),
             stats: TunerStats::default(),
             open: true,
             requester,
@@ -350,7 +388,7 @@ fn drain_once(
                     *open -= 1;
                     break;
                 }
-                Ok(read) => tuner.ingest(&scratch[..read]),
+                Ok(read) => tuner.rx.ingest(&mut tuner.stats, &scratch[..read]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -374,6 +412,87 @@ mod tests {
     use crate::tcp_evented::{EventedTcpTransport, TcpTransportConfig};
     use crate::transport::{PagePayloads, Transport};
     use bdisk_sched::{PageId, Slot};
+
+    /// A stream of frames of mixed kinds and sizes, as the wire carries
+    /// them, with the largest frame's wire length.
+    fn frame_stream() -> (Vec<u8>, usize) {
+        let payloads = PagePayloads::generate(8, 1000);
+        let mut wire = Vec::new();
+        let mut largest = 0;
+        for seq in 0..40u64 {
+            let slot = match seq % 5 {
+                3 => Slot::Empty,
+                _ => Slot::Page(PageId(seq as u32 % 8)),
+            };
+            // Skip some sequence numbers so the stream has gaps to count.
+            let bytes = payloads.frame(seq * 2 - seq % 3, slot).encode();
+            largest = largest.max(bytes.len());
+            wire.extend_from_slice(&bytes);
+        }
+        // One damaged frame, so the CRC-failure count is exercised too.
+        let last = wire.len() - 1;
+        wire[last] ^= 0x40;
+        (wire, largest)
+    }
+
+    fn stats_key(s: &TunerStats) -> (u64, u64, u64, u64, Option<u64>) {
+        (s.frames, s.bytes, s.crc_errors, s.gaps, s.last_seq)
+    }
+
+    #[test]
+    fn reassembly_is_split_invariant() {
+        let (wire, _) = frame_stream();
+        let mut whole = TunerStats::default();
+        assert_eq!(whole.consume(&wire), wire.len());
+        assert_eq!(whole.frames, 39);
+        assert_eq!(whole.crc_errors, 1);
+        assert!(whole.gaps > 0);
+        // Two reads split at every byte offset.
+        for cut in 0..=wire.len() {
+            let mut rx = Reassembler::default();
+            let mut stats = TunerStats::default();
+            rx.ingest(&mut stats, &wire[..cut]);
+            rx.ingest(&mut stats, &wire[cut..]);
+            assert_eq!(stats_key(&stats), stats_key(&whole), "split at {cut}");
+            assert!(rx.pending.is_empty());
+        }
+        // Reads of every small size, so frames straddle many reads and
+        // length prefixes get cut too.
+        for read in 1..=16 {
+            let mut rx = Reassembler::default();
+            let mut stats = TunerStats::default();
+            for chunk in wire.chunks(read) {
+                rx.ingest(&mut stats, chunk);
+            }
+            assert_eq!(stats_key(&stats), stats_key(&whole), "reads of {read}");
+            assert!(rx.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn reassembly_buffers_at_most_one_frame() {
+        let (frames, largest) = frame_stream();
+        let mut wire = Vec::new();
+        while wire.len() < 4 * 64 * 1024 {
+            wire.extend_from_slice(&frames);
+        }
+        let mut rx = Reassembler::default();
+        let mut stats = TunerStats::default();
+        let mut cut_mid_frame = 0;
+        for chunk in wire.chunks(64 * 1024) {
+            rx.ingest(&mut stats, chunk);
+            cut_mid_frame += usize::from(!rx.pending.is_empty());
+            assert!(
+                rx.pending.capacity() <= largest,
+                "buffer grew to {} for {largest}-byte frames",
+                rx.pending.capacity()
+            );
+        }
+        assert!(cut_mid_frame > 0, "some 64 KiB read must end mid-frame");
+        let mut whole = TunerStats::default();
+        whole.consume(&wire);
+        assert_eq!(stats_key(&stats), stats_key(&whole));
+    }
 
     #[test]
     fn fleet_drains_every_frame_from_evented_transport() {

@@ -2,10 +2,9 @@
 //!
 //! LRU and LIX both need O(1) move-to-front, O(1) eviction from the back,
 //! and O(1) membership lookup. This chain stores nodes in a `Vec` slab with
-//! index links (no per-node allocation, no unsafe) and an index map from
-//! page id to slab slot.
-
-use std::collections::HashMap;
+//! index links (no per-node allocation, no unsafe) and a dense index from
+//! page id to slab slot (page ids are dense integers, so a `Vec` indexed
+//! by page replaces a hash map).
 
 use bdisk_sched::PageId;
 
@@ -23,7 +22,10 @@ struct Node {
 pub struct LruChain {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    index: HashMap<PageId, u32>,
+    /// Slab slot of each page, `NIL` when absent; grows to the largest
+    /// page id pushed.
+    index: Vec<u32>,
+    len: usize,
     head: u32,
     tail: u32,
 }
@@ -34,7 +36,8 @@ impl LruChain {
         Self {
             nodes: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: Vec::new(),
+            len: 0,
             head: NIL,
             tail: NIL,
         }
@@ -42,17 +45,22 @@ impl LruChain {
 
     /// Number of pages in the chain.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     /// True when the chain holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len == 0
     }
 
     /// True when `page` is in the chain.
     pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
+        self.slot_of(page).is_some()
+    }
+
+    /// The slab slot holding `page`, if present.
+    fn slot_of(&self, page: PageId) -> Option<u32> {
+        self.index.get(page.index()).copied().filter(|&s| s != NIL)
     }
 
     /// Pushes `page` at the front (most recently used).
@@ -86,12 +94,16 @@ impl LruChain {
             self.tail = slot;
         }
         self.head = slot;
-        self.index.insert(page, slot);
+        if self.index.len() <= page.index() {
+            self.index.resize(page.index() + 1, NIL);
+        }
+        self.index[page.index()] = slot;
+        self.len += 1;
     }
 
     /// Moves `page` to the front. Returns `false` if absent.
     pub fn move_to_front(&mut self, page: PageId) -> bool {
-        let Some(&slot) = self.index.get(&page) else {
+        let Some(slot) = self.slot_of(page) else {
             return false;
         };
         if self.head == slot {
@@ -120,9 +132,11 @@ impl LruChain {
 
     /// Removes `page` from the chain. Returns `false` if absent.
     pub fn remove(&mut self, page: PageId) -> bool {
-        let Some(slot) = self.index.remove(&page) else {
+        let Some(slot) = self.slot_of(page) else {
             return false;
         };
+        self.index[page.index()] = NIL;
+        self.len -= 1;
         self.unlink(slot);
         self.free.push(slot);
         true

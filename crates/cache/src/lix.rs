@@ -27,10 +27,9 @@
 //! Both policies do a constant amount of work per replacement (proportional
 //! to the number of disks), the same order as LRU.
 
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use bdisk_obs::registry::{self, Histogram, POW2_BOUNDS};
+use bdisk_obs::registry::{self, Histogram, HistogramBatch, POW2_BOUNDS};
 use bdisk_sched::PageId;
 
 use crate::chain::LruChain;
@@ -39,12 +38,14 @@ use crate::{CachePolicy, PolicyContext};
 /// `bd_lix_chain_len` — the length of the chain a LIX/L victim search
 /// walked past, recorded once per chain per replacement. The distribution
 /// shows how the paper's "chains do not have fixed sizes" behave live.
+/// Each policy tallies its samples locally and publishes them when it is
+/// dropped (at the end of its client's run).
 pub(crate) fn chain_len_histogram() -> &'static Histogram {
     static H: OnceLock<&'static Histogram> = OnceLock::new();
     H.get_or_init(|| {
         registry::histogram(
             "bd_lix_chain_len",
-            "Per-disk LIX/L chain lengths sampled at each replacement",
+            "Per-disk LIX/L chain lengths sampled at each replacement; published when each client's cache is dropped",
             POW2_BOUNDS,
         )
     })
@@ -73,7 +74,13 @@ pub struct LixPolicy {
     /// Per-disk broadcast frequency (all 1.0 for the `L` variant).
     disk_freqs: Vec<f64>,
     alpha: f64,
-    meta: HashMap<PageId, Meta>,
+    /// Estimator state per page, `None` when the page is not resident.
+    /// Page ids are dense, so this is indexed by page.
+    meta: Vec<Option<Meta>>,
+    /// Number of resident pages.
+    resident: usize,
+    /// `bd_lix_chain_len` samples not yet published.
+    chain_lens: HistogramBatch,
     name: &'static str,
 }
 
@@ -113,16 +120,23 @@ impl LixPolicy {
         Self {
             capacity,
             chains: (0..disk_freqs.len()).map(|_| LruChain::new()).collect(),
+            meta: vec![None; page_disk.len()],
             page_disk,
             disk_freqs,
             alpha,
-            meta: HashMap::new(),
+            resident: 0,
+            chain_lens: HistogramBatch::new(chain_len_histogram()),
             name,
         }
     }
 
     fn disk_of(&self, page: PageId) -> usize {
         self.page_disk[page.index()] as usize
+    }
+
+    /// The estimator state of `page`, when resident.
+    fn meta(&self, page: PageId) -> Option<&Meta> {
+        self.meta.get(page.index()).and_then(Option::as_ref)
     }
 
     /// The estimator evaluated at `now` for a page's stored state.
@@ -133,7 +147,7 @@ impl LixPolicy {
 
     /// The lix value of `page` evaluated at `now` (estimate ÷ frequency).
     pub fn lix_value(&self, page: PageId, now: f64) -> Option<f64> {
-        let m = self.meta.get(&page)?;
+        let m = self.meta(page)?;
         Some(self.estimate(m, now) / self.disk_freqs[self.disk_of(page)])
     }
 
@@ -157,16 +171,15 @@ impl LixPolicy {
     /// probability estimate and the last access time. `None` when the page
     /// is not resident. Exposed for tests and instrumentation.
     pub fn estimator_state(&self, page: PageId) -> Option<(f64, f64)> {
-        self.meta.get(&page).map(|m| (m.p, m.t))
+        self.meta(page).map(|m| (m.p, m.t))
     }
 
     /// Chooses the victim: the bottom page of each chain with the smallest
     /// lix value. Ties break toward the faster disk for determinism.
-    fn pick_victim(&self, now: f64) -> PageId {
-        let chain_lens = chain_len_histogram();
+    fn pick_victim(&mut self, now: f64) -> PageId {
         let mut best: Option<(f64, PageId)> = None;
         for chain in &self.chains {
-            chain_lens.record(chain.len() as u64);
+            self.chain_lens.record(chain.len() as u64);
             let Some(page) = chain.back() else { continue };
             let lix = self
                 .lix_value(page, now)
@@ -182,18 +195,16 @@ impl LixPolicy {
 
 impl CachePolicy for LixPolicy {
     fn contains(&self, page: PageId) -> bool {
-        self.meta.contains_key(&page)
+        self.meta(page).is_some()
     }
 
     fn on_hit(&mut self, page: PageId, now: f64) {
         let alpha = self.alpha;
-        let est = {
-            let m = self.meta.get(&page).expect("hit on non-resident page");
-            let elapsed = (now - m.t).max(MIN_ELAPSED);
-            alpha / elapsed + (1.0 - alpha) * m.p
-        };
-        let m = self.meta.get_mut(&page).expect("checked above");
-        m.p = est;
+        let m = self.meta[page.index()]
+            .as_mut()
+            .expect("hit on non-resident page");
+        let elapsed = (now - m.t).max(MIN_ELAPSED);
+        m.p = alpha / elapsed + (1.0 - alpha) * m.p;
         m.t = now;
         let disk = self.page_disk[page.index()] as usize;
         self.chains[disk].move_to_front(page);
@@ -201,33 +212,36 @@ impl CachePolicy for LixPolicy {
 
     fn insert(&mut self, page: PageId, now: f64) -> Option<PageId> {
         assert!(!self.contains(page), "page {page} already resident");
-        let victim = if self.meta.len() == self.capacity {
+        let victim = if self.resident == self.capacity {
             let v = self.pick_victim(now);
             let victim_disk = self.disk_of(v);
             self.chains[victim_disk].remove(v);
-            self.meta.remove(&v);
+            self.meta[v.index()] = None;
             Some(v)
         } else {
+            self.resident += 1;
             None
         };
         // "When the page enters a chain, p is initially set to zero and t
         //  is set to the current time."
-        self.meta.insert(page, Meta { p: 0.0, t: now });
+        self.meta[page.index()] = Some(Meta { p: 0.0, t: now });
         let disk = self.disk_of(page);
         self.chains[disk].push_front(page);
         victim
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        if self.meta.remove(&page).is_none() {
-            return false;
+        match self.meta.get_mut(page.index()) {
+            Some(m @ Some(_)) => *m = None,
+            _ => return false,
         }
+        self.resident -= 1;
         let disk = self.disk_of(page);
         self.chains[disk].remove(page)
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.resident
     }
 
     fn capacity(&self) -> usize {
@@ -251,6 +265,9 @@ impl CachePolicy for LixPolicy {
             panic!("page assigned to nonexistent disk {bad}");
         }
         self.page_disk = ctx.page_disk.clone();
+        if self.meta.len() < self.page_disk.len() {
+            self.meta.resize(self.page_disk.len(), None);
+        }
         self.disk_freqs = if self.name == "L" {
             vec![1.0; ctx.disk_freqs.len()]
         } else {
@@ -259,7 +276,12 @@ impl CachePolicy for LixPolicy {
         // Re-bucket residents into their (possibly new) disk chains,
         // restoring recency order: most recently accessed at the front,
         // ties broken by page id for determinism.
-        let mut residents: Vec<(f64, PageId)> = self.meta.iter().map(|(&p, m)| (m.t, p)).collect();
+        let mut residents: Vec<(f64, PageId)> = self
+            .meta
+            .iter()
+            .enumerate()
+            .filter_map(|(p, m)| m.map(|m| (m.t, PageId(p as u32))))
+            .collect();
         residents.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("access times are never NaN")

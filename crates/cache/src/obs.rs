@@ -4,10 +4,12 @@
 //!
 //! [`ObservedPolicy`] is pure observation — every call delegates to the
 //! wrapped policy unchanged, so the simulator/live parity contract (and
-//! every policy property test) holds with instrumentation on. Recording
-//! is lock- and allocation-free (sharded atomic counters from
-//! [`bdisk_obs`]); each wrapper gets a process-unique id so journal
-//! events can be attributed to one client's cache.
+//! every policy property test) holds with instrumentation on. Hits,
+//! misses and evictions are tallied in plain fields of the wrapper and
+//! published to the registry once, when the wrapper is dropped (at the
+//! end of its client's run); invalidations publish as they happen. Each
+//! wrapper gets a process-unique id so journal events can be attributed
+//! to one client's cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -33,14 +35,17 @@ pub(crate) struct CacheMetrics {
 pub(crate) fn metrics() -> &'static CacheMetrics {
     static M: OnceLock<CacheMetrics> = OnceLock::new();
     M.get_or_init(|| CacheMetrics {
-        hits: registry::counter("bd_cache_hits_total", "Client cache hits"),
+        hits: registry::counter(
+            "bd_cache_hits_total",
+            "Client cache hits; published when each client's cache is dropped",
+        ),
         misses: registry::counter(
             "bd_cache_misses_total",
-            "Client cache misses (every miss inserts the fetched page)",
+            "Client cache misses (every miss inserts the fetched page); published when each client's cache is dropped",
         ),
         evictions: registry::counter(
             "bd_cache_evictions_total",
-            "Pages evicted from full client caches",
+            "Pages evicted from full client caches; published when each client's cache is dropped",
         ),
         invalidations: registry::counter(
             "bd_cache_invalidations_total",
@@ -87,6 +92,10 @@ pub struct ObservedPolicy {
     /// Process-unique id tagging this cache's journal events (one wrapper
     /// per client, so this stands in for a client id).
     id: u64,
+    /// Hits, misses and evictions not yet published (see [`Drop`]).
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl ObservedPolicy {
@@ -95,7 +104,19 @@ impl ObservedPolicy {
         Self {
             inner,
             id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
+    }
+}
+
+impl Drop for ObservedPolicy {
+    fn drop(&mut self) {
+        let m = metrics();
+        m.hits.add(self.hits);
+        m.misses.add(self.misses);
+        m.evictions.add(self.evictions);
     }
 }
 
@@ -105,17 +126,16 @@ impl CachePolicy for ObservedPolicy {
     }
 
     fn on_hit(&mut self, page: PageId, now: f64) {
-        metrics().hits.inc();
+        self.hits += 1;
         self.inner.on_hit(page, now)
     }
 
     fn insert(&mut self, page: PageId, now: f64) -> Option<PageId> {
-        let m = metrics();
-        m.misses.inc();
+        self.misses += 1;
         event(EventKind::CacheAdmit, self.id, page.0 as u64);
         let victim = self.inner.insert(page, now);
         if let Some(victim) = victim {
-            m.evictions.inc();
+            self.evictions += 1;
             event(EventKind::CacheEvict, self.id, victim.0 as u64);
         }
         victim
@@ -171,6 +191,8 @@ mod tests {
         assert!(p.invalidate(PageId(2)));
         assert!(!p.invalidate(PageId(1)));
         assert_eq!(p.len(), 1);
+        // Hits, misses and evictions publish when the wrapper is dropped.
+        drop(p);
 
         // Counters are process-global and sibling tests may be recording
         // concurrently, so assert the floor this test itself contributed.

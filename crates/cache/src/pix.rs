@@ -13,11 +13,9 @@
 //! Neither is implementable in a real client: they require perfect
 //! knowledge of access probabilities and a global comparison across the
 //! cache. In the simulator the probabilities are known exactly, and the
-//! global min is kept in an ordered set over precomputed value *ranks*
-//! (values are static, so ranking them once avoids comparing floats at
-//! every eviction and gives deterministic tie-breaks).
-
-use std::collections::BTreeSet;
+//! global min is kept in a bitset over precomputed value *ranks* (values
+//! are static, so ranking them once avoids comparing floats at every
+//! eviction and gives deterministic tie-breaks).
 
 use bdisk_sched::PageId;
 
@@ -33,8 +31,8 @@ pub struct StaticValuePolicy {
     /// Rank of each page's value (0 = smallest value = first to evict);
     /// ties broken by page id for determinism.
     rank: Vec<u32>,
-    /// Resident pages ordered by rank.
-    resident: BTreeSet<u32>,
+    /// Resident pages, by rank.
+    resident: RankSet,
     /// Inverse of `rank`: rank → page.
     page_of_rank: Vec<u32>,
     name: &'static str,
@@ -58,8 +56,8 @@ impl StaticValuePolicy {
         }
         Self {
             capacity,
+            resident: RankSet::new(rank.len()),
             rank,
-            resident: BTreeSet::new(),
             page_of_rank: order,
             name,
         }
@@ -72,21 +70,21 @@ impl StaticValuePolicy {
         let residents: Vec<u32> = self
             .resident
             .iter()
-            .map(|&r| self.page_of_rank[r as usize])
+            .map(|r| self.page_of_rank[r as usize])
             .collect();
         let fresh = Self::new(self.capacity, values, self.name);
         self.rank = fresh.rank;
         self.page_of_rank = fresh.page_of_rank;
-        self.resident = residents
-            .into_iter()
-            .map(|p| self.rank[p as usize])
-            .collect();
+        self.resident = fresh.resident;
+        for p in residents {
+            self.resident.insert(self.rank[p as usize]);
+        }
     }
 }
 
 impl CachePolicy for StaticValuePolicy {
     fn contains(&self, page: PageId) -> bool {
-        self.resident.contains(&self.rank[page.index()])
+        self.resident.contains(self.rank[page.index()])
     }
 
     fn on_hit(&mut self, _page: PageId, _now: f64) {
@@ -96,8 +94,7 @@ impl CachePolicy for StaticValuePolicy {
     fn insert(&mut self, page: PageId, _now: f64) -> Option<PageId> {
         assert!(!self.contains(page), "page {page} already resident");
         let victim = if self.resident.len() == self.capacity {
-            let &lowest = self.resident.iter().next().expect("cache is full");
-            self.resident.remove(&lowest);
+            let lowest = self.resident.pop_lowest().expect("cache is full");
             Some(PageId(self.page_of_rank[lowest as usize]))
         } else {
             None
@@ -107,7 +104,7 @@ impl CachePolicy for StaticValuePolicy {
     }
 
     fn invalidate(&mut self, page: PageId) -> bool {
-        self.resident.remove(&self.rank[page.index()])
+        self.resident.remove(self.rank[page.index()])
     }
 
     fn len(&self) -> usize {
@@ -138,6 +135,83 @@ impl CachePolicy for StaticValuePolicy {
             }
             _ => {}
         }
+    }
+}
+
+/// A set of ranks `0..n` as a bitset. `lowest` is a cursor: every word
+/// below it is zero, so finding the smallest member scans only from there,
+/// and the scan's progress is kept for the next call.
+#[derive(Debug, Clone)]
+struct RankSet {
+    words: Vec<u64>,
+    len: usize,
+    lowest: usize,
+}
+
+impl RankSet {
+    fn new(n: usize) -> Self {
+        let words = vec![0; n.div_ceil(64)];
+        let lowest = words.len();
+        Self {
+            words,
+            len: 0,
+            lowest,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn contains(&self, r: u32) -> bool {
+        self.words[r as usize / 64] & (1 << (r % 64)) != 0
+    }
+
+    fn insert(&mut self, r: u32) {
+        let w = r as usize / 64;
+        let bit = 1 << (r % 64);
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.len += 1;
+            self.lowest = self.lowest.min(w);
+        }
+    }
+
+    fn remove(&mut self, r: u32) -> bool {
+        let w = r as usize / 64;
+        let bit = 1 << (r % 64);
+        let present = self.words[w] & bit != 0;
+        if present {
+            self.words[w] &= !bit;
+            self.len -= 1;
+        }
+        present
+    }
+
+    /// Removes and returns the smallest member.
+    fn pop_lowest(&mut self) -> Option<u32> {
+        while self.lowest < self.words.len() && self.words[self.lowest] == 0 {
+            self.lowest += 1;
+        }
+        let word = self.words.get_mut(self.lowest)?;
+        let bit = word.trailing_zeros();
+        *word &= *word - 1;
+        self.len -= 1;
+        Some(self.lowest as u32 * 64 + bit)
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as u32 * 64 + bit
+                })
+            })
+        })
     }
 }
 
@@ -363,6 +437,31 @@ mod tests {
         };
         pix.rescore(&ctx);
         assert_eq!(pix.insert(PageId(1), 2.0), Some(PageId(0)));
+    }
+
+    #[test]
+    fn rank_set_matches_an_ordered_set() {
+        use std::collections::BTreeSet;
+        let mut set = RankSet::new(300);
+        let mut model = BTreeSet::new();
+        let mut x = 7u64;
+        for _ in 0..20_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (x >> 33) as u32 % 300;
+            match (x >> 20) % 3 {
+                0 => {
+                    set.insert(r);
+                    model.insert(r);
+                }
+                1 => assert_eq!(set.remove(r), model.remove(&r)),
+                _ => assert_eq!(set.pop_lowest(), model.pop_first()),
+            }
+            assert_eq!(set.len(), model.len());
+            assert_eq!(set.contains(r), model.contains(&r));
+        }
+        assert!(set.iter().eq(model.iter().copied()));
     }
 
     #[test]

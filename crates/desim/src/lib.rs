@@ -7,14 +7,15 @@
 //!
 //! * a virtual clock measured in **broadcast units** (the time to broadcast
 //!   one page — the paper's unit of time, see Section 4.1),
-//! * a priority event queue with deterministic FIFO tie-breaking,
-//! * a process abstraction so that model code reads like CSIM processes, and
+//! * a priority event queue with deterministic FIFO tie-breaking, and
 //! * statistics collectors (running moments, histograms, batch means) used
 //!   by the measurement layer in `bdisk-sim`.
 //!
-//! The kernel is intentionally synchronous and single-threaded: the paper's
-//! model is one client and one deterministic cyclic server, so determinism
-//! and reproducibility matter far more than parallel event execution.
+//! The kernel is intentionally synchronous and single-threaded. The
+//! paper's model is one client and one deterministic cyclic server, so the
+//! simulator itself (`bdisk-sim`) needs no event queue at all: it drives
+//! its client with a plain loop over plan arithmetic and uses this crate
+//! for its statistics collectors only.
 //!
 //! ## Example
 //!
@@ -35,12 +36,10 @@
 
 #![warn(missing_docs)]
 
-pub mod process;
 pub mod queue;
 pub mod stats;
 pub mod time;
 
-pub use process::{Action, Process, ProcessExecutor};
 pub use queue::EventQueue;
 pub use stats::{BatchMeans, Counter, Histogram, RunningStats};
 pub use time::{Duration, Time};
@@ -48,7 +47,7 @@ pub use time::{Duration, Time};
 /// A discrete-event simulation: a clock plus an event queue.
 ///
 /// Events are opaque payloads of type `E`; the caller interprets them as it
-/// pops them. For a process-oriented style, see [`ProcessExecutor`].
+/// pops them.
 #[derive(Debug, Clone)]
 pub struct Simulation<E> {
     queue: EventQueue<E>,

@@ -1,7 +1,6 @@
 //! Table 1: expected delay for the Figure 2 example programs, analytic and
 //! simulated.
 
-use bdesim::{ProcessExecutor, Time};
 use bdisk_analytic::table1::{figure2_programs, table1, TABLE1_DISTRIBUTIONS};
 use bdisk_sched::{BroadcastProgram, DiskLayout};
 use bdisk_sim::{ClientModel, PolicyKind, SimConfig};
@@ -32,7 +31,7 @@ fn simulate_cell(program: &BroadcastProgram, probs: &[f64], scale: Scale) -> f64
         ..SimConfig::default()
     };
     let rng = StdRng::seed_from_u64(4242);
-    let client = ClientModel::with_workload(
+    ClientModel::with_workload(
         &cfg,
         &layout,
         program.clone(),
@@ -40,11 +39,10 @@ fn simulate_cell(program: &BroadcastProgram, probs: &[f64], scale: Scale) -> f64
         Mapping::identity(3),
         rng,
     )
-    .expect("valid Table 1 cell");
-    let mut ex = ProcessExecutor::new();
-    ex.spawn_at(Time::ZERO, client);
-    ex.run_to_completion();
-    ex.into_states().remove(0).into_outcome().mean_response_time
+    .expect("valid Table 1 cell")
+    .run()
+    .0
+    .mean_response_time
 }
 
 /// Regenerates Table 1 and prints analytic vs simulated values.

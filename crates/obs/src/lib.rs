@@ -55,7 +55,7 @@ pub use http::MetricsServer;
 pub use journal::{event, journal, Event, EventKind, Journal};
 pub use registry::{
     counter, counter_labeled, gauge, gauge_labeled, histogram, Counter, Gauge, Histogram,
-    HistogramSnapshot,
+    HistogramBatch, HistogramSnapshot,
 };
 pub use trace::{attribute_wait, sample_every, set_sample_every, Span, SpanBatch, SpanKind};
 

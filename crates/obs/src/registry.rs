@@ -208,15 +208,29 @@ impl Histogram {
         if !metrics_enabled() {
             return;
         }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
         let shard = &self.shards[shard_index()];
-        shard.counts[idx].fetch_add(1, Ordering::Relaxed);
+        shard.counts[bucket_of(self.bounds, v)].fetch_add(1, Ordering::Relaxed);
         shard.sum.fetch_add(v, Ordering::Relaxed);
         shard.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records a whole batch of observations at once — `batch`'s bucket
+    /// counts, sum and count — as if each had gone through
+    /// [`Histogram::record`]. One atomic add per non-empty bucket, so a
+    /// hot loop can tally into a [`HistogramBatch`] and publish once.
+    pub fn absorb(&self, batch: &HistogramSnapshot) {
+        assert_eq!(self.bounds, batch.bounds, "absorbing mismatched histograms");
+        if !metrics_enabled() || batch.count == 0 {
+            return;
+        }
+        let shard = &self.shards[shard_index()];
+        for (slot, &n) in shard.counts.iter().zip(&batch.counts) {
+            if n > 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        shard.sum.fetch_add(batch.sum, Ordering::Relaxed);
+        shard.count.fetch_add(batch.count, Ordering::Relaxed);
     }
 
     /// The bucket upper bounds.
@@ -259,7 +273,33 @@ pub struct HistogramSnapshot {
     pub count: u64,
 }
 
+/// The bucket `v` falls in: the first bound `>= v`, else the final `+Inf`
+/// bucket.
+#[inline]
+fn bucket_of(bounds: &[u64], v: u64) -> usize {
+    bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len())
+}
+
 impl HistogramSnapshot {
+    /// An empty histogram state over `bounds`.
+    pub(crate) fn empty(bounds: &'static [u64]) -> Self {
+        Self {
+            bounds,
+            counts: vec![0; bounds.len() + 1],
+            sum: 0,
+            count: 0,
+        }
+    }
+
+    /// Records one observation into this plain (single-owner, non-atomic)
+    /// state, bucketed exactly as [`Histogram::record`] buckets it.
+    #[inline]
+    pub(crate) fn record(&mut self, v: u64) {
+        self.counts[bucket_of(self.bounds, v)] += 1;
+        self.sum += v;
+        self.count += 1;
+    }
+
     /// Merges another snapshot of the same bounds into this one.
     /// Commutative and associative, so per-shard snapshots merge to the
     /// same result in any order.
@@ -270,6 +310,61 @@ impl HistogramSnapshot {
         }
         self.sum += other.sum;
         self.count += other.count;
+    }
+}
+
+/// Observations tallied locally and published to a registered
+/// [`Histogram`] in one [`Histogram::absorb`] when the batch is dropped.
+///
+/// For per-request instrumentation owned by one run (a client's
+/// measurements, a cache policy): recording costs no atomics, and the
+/// registry's totals after the run are exactly what per-observation
+/// [`Histogram::record`] calls would have left. Cloning starts an empty
+/// batch, so every observation is published once, by the batch that
+/// recorded it.
+pub struct HistogramBatch {
+    target: &'static Histogram,
+    local: HistogramSnapshot,
+}
+
+impl HistogramBatch {
+    /// An empty batch that publishes to `target`.
+    pub fn new(target: &'static Histogram) -> Self {
+        Self {
+            target,
+            local: HistogramSnapshot::empty(target.bounds()),
+        }
+    }
+
+    /// Tallies one observation (published when the batch is dropped).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.local.record(v);
+    }
+
+    /// Observations tallied and not yet published.
+    pub fn count(&self) -> u64 {
+        self.local.count
+    }
+}
+
+impl std::fmt::Debug for HistogramBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistogramBatch")
+            .field("local", &self.local)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Clone for HistogramBatch {
+    fn clone(&self) -> Self {
+        Self::new(self.target)
+    }
+}
+
+impl Drop for HistogramBatch {
+    fn drop(&mut self) {
+        self.target.absorb(&self.local);
     }
 }
 
@@ -456,6 +551,42 @@ mod tests {
         assert_eq!(s.counts, vec![2, 2, 2, 2]); // <=1, <=4, <=16, +Inf
         assert_eq!(s.count, 8);
         assert_eq!(s.sum, 1045); // 0+1+2+4+5+16+17+1000
+    }
+
+    #[test]
+    fn absorb_equals_per_observation_records() {
+        let _g = crate::test_switch_guard();
+        static BOUNDS: &[u64] = &[1, 4, 16];
+        let values = [0, 1, 2, 4, 5, 16, 17, 1000, 3, 3];
+        let one_by_one = Histogram::with_bounds(BOUNDS);
+        let batched = Histogram::with_bounds(BOUNDS);
+        let mut local = HistogramSnapshot::empty(BOUNDS);
+        for v in values {
+            one_by_one.record(v);
+            local.record(v);
+        }
+        batched.absorb(&local);
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
+    }
+
+    #[test]
+    fn batch_publishes_once_on_drop() {
+        let _g = crate::test_switch_guard();
+        let h = histogram("obs_test_batch", "test", &[1, 4, 16]);
+        let before = h.snapshot();
+        let mut batch = HistogramBatch::new(h);
+        batch.record(3);
+        batch.record(20);
+        let copy = batch.clone();
+        assert_eq!(copy.count(), 0, "a clone starts empty");
+        drop(copy);
+        assert_eq!(h.snapshot(), before, "nothing published before the drop");
+        drop(batch);
+        let after = h.snapshot();
+        assert_eq!(after.count, before.count + 2);
+        assert_eq!(after.sum, before.sum + 23);
+        assert_eq!(after.counts[1], before.counts[1] + 1);
+        assert_eq!(after.counts[3], before.counts[3] + 1);
     }
 
     #[test]

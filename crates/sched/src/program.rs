@@ -86,8 +86,12 @@ pub enum Slot {
 #[derive(Debug, Clone)]
 pub struct BroadcastProgram {
     slots: Vec<Slot>,
-    /// Sorted slot offsets (within one period) at which each page starts.
-    page_slots: Vec<Vec<u32>>,
+    /// Sorted slot offsets (within one period) at which each page starts,
+    /// all pages back to back: page `p`'s are
+    /// `page_slots[page_offsets[p]..page_offsets[p + 1]]`.
+    page_slots: Vec<u32>,
+    /// `num_pages + 1` offsets into `page_slots`.
+    page_offsets: Vec<u32>,
     /// Disk index per page (0 when the program was built from raw slots).
     page_disk: Vec<u16>,
     /// Relative frequency of each disk (empty for raw-slot programs).
@@ -129,13 +133,36 @@ impl BroadcastProgram {
             .max()
             .ok_or(SchedError::EmptyProgram)?;
 
-        let mut page_slots = vec![Vec::new(); num_pages];
+        // Count each page's airings, turn the counts into offsets, then
+        // fill in slot order so every page's starts come out sorted.
+        let mut page_offsets = vec![0u32; num_pages + 1];
+        for s in &slots {
+            if let Slot::Page(p) = s {
+                page_offsets[p.index() + 1] += 1;
+            }
+        }
+        for p in 0..num_pages {
+            let airings = page_offsets[p + 1];
+            if airings == 0 {
+                // Dense page-id requirement: a "page" that is never
+                // broadcast cannot be retrieved and indicates a bug in the
+                // caller's slot construction.
+                panic!("page p{p} never appears in the program");
+            }
+            page_offsets[p + 1] = page_offsets[p] + airings;
+        }
+        let mut fill = page_offsets[..num_pages].to_vec();
+        let mut page_slots = vec![0u32; page_offsets[num_pages] as usize];
         let mut empty_slots = 0;
         let mut empty_starts = Vec::new();
         let mut repair_slots = 0;
         for (i, s) in slots.iter().enumerate() {
             match s {
-                Slot::Page(p) => page_slots[p.index()].push(i as u32),
+                Slot::Page(p) => {
+                    let at = &mut fill[p.index()];
+                    page_slots[*at as usize] = i as u32;
+                    *at += 1;
+                }
                 Slot::Empty => {
                     empty_slots += 1;
                     empty_starts.push(i as u32);
@@ -149,14 +176,6 @@ impl BroadcastProgram {
                 }
             }
         }
-        for (p, ps) in page_slots.iter().enumerate() {
-            if ps.is_empty() {
-                // Dense page-id requirement: a "page" that is never
-                // broadcast cannot be retrieved and indicates a bug in the
-                // caller's slot construction.
-                panic!("page p{p} never appears in the program");
-            }
-        }
         let page_disk = match disk_of {
             Some(f) => (0..num_pages).map(|p| f(PageId(p as u32))).collect(),
             None => vec![0; num_pages],
@@ -164,6 +183,7 @@ impl BroadcastProgram {
         Ok(Self {
             slots,
             page_slots,
+            page_offsets,
             page_disk,
             disk_freqs,
             empty_slots,
@@ -184,7 +204,7 @@ impl BroadcastProgram {
 
     /// Number of distinct pages broadcast.
     pub fn num_pages(&self) -> usize {
-        self.page_slots.len()
+        self.page_offsets.len() - 1
     }
 
     /// Number of unused (padding) slots per period.
@@ -226,7 +246,7 @@ impl BroadcastProgram {
 
     /// Broadcasts of `page` per period.
     pub fn frequency(&self, page: PageId) -> u64 {
-        self.page_slots[page.index()].len() as u64
+        self.page_starts(page).len() as u64
     }
 
     /// Fraction of the total bandwidth given to `page`.
@@ -238,7 +258,7 @@ impl BroadcastProgram {
     /// if the page's broadcasts are *not* evenly spaced (e.g. in a skewed
     /// program).
     pub fn gap(&self, page: PageId) -> Option<f64> {
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         if starts.len() == 1 {
             return Some(self.period() as f64);
         }
@@ -256,7 +276,7 @@ impl BroadcastProgram {
     /// All inter-arrival gaps of `page` within one period (including the
     /// wrap-around gap). Used by the analytic expected-delay model.
     pub fn gaps(&self, page: PageId) -> Vec<f64> {
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         let mut gaps = Vec::with_capacity(starts.len());
         for w in starts.windows(2) {
             gaps.push((w[1] - w[0]) as f64);
@@ -266,8 +286,10 @@ impl BroadcastProgram {
     }
 
     /// Slot offsets (within one period) at which `page` is broadcast.
+    #[inline]
     pub fn page_starts(&self, page: PageId) -> &[u32] {
-        &self.page_slots[page.index()]
+        let p = page.index();
+        &self.page_slots[self.page_offsets[p] as usize..self.page_offsets[p + 1] as usize]
     }
 
     /// The slot broadcast at absolute slot sequence number `seq`, wrapping
@@ -293,7 +315,7 @@ impl BroadcastProgram {
     pub fn next_arrival(&self, page: PageId, t: f64) -> f64 {
         debug_assert!(t >= 0.0);
         let period = self.period() as f64;
-        let starts = &self.page_slots[page.index()];
+        let starts = self.page_starts(page);
         let cycle = (t / period).floor();
         let phase = t - cycle * period;
         // First broadcast at offset >= phase, else wrap to next cycle.
@@ -355,13 +377,15 @@ impl BroadcastProgram {
     /// corrupts (the decoder XORs the wrong pages).
     pub fn coverage_window(&self, offset: u32, group: usize) -> Vec<u32> {
         let period = self.period() as u32;
-        let hot_only = self.page_slots.iter().any(|s| s.len() >= 2);
+        // Every page airs at least once, so some page airs twice iff there
+        // are more airings than pages.
+        let hot_only = self.page_slots.len() > self.num_pages();
         let mut pages: Vec<PageId> = Vec::with_capacity(group);
         let mut window = Vec::with_capacity(group);
         for d in 1..period {
             let o = (offset + period - d) % period;
             if let Slot::Page(p) = self.slots[o as usize] {
-                if hot_only && self.page_slots[p.index()].len() < 2 {
+                if hot_only && self.frequency(p) < 2 {
                     continue;
                 }
                 if !pages.contains(&p) {

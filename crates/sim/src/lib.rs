@@ -13,7 +13,8 @@
 //! * [`ClientModel`] — the client process: draw a logical page from the
 //!   region-Zipf distribution, map it to a physical page, probe the cache,
 //!   wait on the broadcast on a miss, insert via the replacement policy,
-//!   think, repeat. Runs on the `bdesim` process executor.
+//!   think, repeat. A plain loop over a virtual `f64` clock: the server
+//!   is pure plan arithmetic, so there is nothing else to schedule.
 //! * [`SimOutcome`] — steady-state response time (with a batch-means
 //!   confidence interval), cache hit rate, and the access-location
 //!   breakdown of Figures 11 and 14.

@@ -2,6 +2,8 @@
 
 use bdesim::{BatchMeans, Counter, Histogram, RunningStats};
 
+use crate::obs::RunTelemetry;
+
 /// Where a request was satisfied (the breakdown of Figures 11 and 14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessLocation {
@@ -55,6 +57,8 @@ pub struct Measurements {
     pub hist: Histogram,
     /// Access-location tally: bucket 0 = cache, 1.. = disks.
     pub locations: Counter,
+    /// Registry telemetry for this run, published when dropped.
+    telemetry: RunTelemetry,
 }
 
 impl Measurements {
@@ -66,6 +70,7 @@ impl Measurements {
             batches: BatchMeans::new(batch_size),
             hist: Histogram::new(max_wait.max(1)),
             locations: Counter::new(num_disks + 1),
+            telemetry: RunTelemetry::new(),
         }
     }
 
@@ -78,12 +83,11 @@ impl Measurements {
             AccessLocation::Cache => self.locations.bump(0),
             AccessLocation::Disk(d) => self.locations.bump(d + 1),
         }
-        let m = crate::obs::metrics();
-        m.requests.inc();
-        m.response_time.record(response as u64);
+        self.telemetry.record(response);
     }
 
-    /// Summarizes the run into a [`SimOutcome`].
+    /// Summarizes the run into a [`SimOutcome`] and publishes its
+    /// telemetry.
     pub fn finish(self, end_time: f64) -> SimOutcome {
         let hit_rate = self.locations.fraction(0);
         SimOutcome {

@@ -12,7 +12,6 @@
 //! full, and then running the experiment for 15,000 or more client page
 //! requests".
 
-use bdesim::{Action, Process, ProcessExecutor, Time};
 use bdisk_obs::trace::{self, Span, SpanKind};
 use bdisk_sched::{BroadcastPlan, BroadcastProgram, ChannelId, DiskLayout, PageId};
 use bdisk_workload::{Mapping, RegionZipf};
@@ -22,37 +21,18 @@ use crate::config::{SimConfig, SimError};
 use crate::core::ClientCore;
 use crate::metrics::{AccessLocation, SimOutcome};
 
-/// What the client is doing between wake-ups.
-#[derive(Debug, Clone, Copy)]
-enum Phase {
-    /// About to issue the next request.
-    Request,
-    /// Waiting on the broadcast for a missed page.
-    Receive {
-        page: PageId,
-        requested_at: f64,
-        /// Wait-attribution anchors when this request is sampled:
-        /// `(no_switch, expected)` arrival times. Computed with pure plan
-        /// arithmetic only — tracing never draws from the RNG, so sampled
-        /// and unsampled runs stay bit-identical.
-        trace: Option<(f64, f64)>,
-    },
-    /// Finished measuring.
-    Finished,
-}
-
 /// The simulated client (one per run; the server is implicit in the
 /// broadcast plan's arithmetic).
 ///
 /// The request stream, cache policy, warm-up, and measurement logic all
 /// live in [`ClientCore`], shared with the live engine's clients; this
-/// wrapper adds the discrete-event waiting strategy (jump the clock to the
-/// page's next arrival) and the **single-tuner constraint** of the
-/// multi-channel model: the client listens to one channel at a time. A miss
-/// on the tuned channel waits in place; a miss on another channel retunes —
-/// the earliest receivable slot on the target channel starts at
-/// `⌊t⌋ + 1 + switch_slots`, since the slot in flight at the switch instant
-/// is already lost. With one channel the client never switches and the
+/// wrapper adds the simulated waiting strategy (jump the clock to the
+/// page's next arrival, see [`ClientModel::run`]) and the **single-tuner
+/// constraint** of the multi-channel model: the client listens to one
+/// channel at a time. A miss on the tuned channel waits in place; a miss
+/// on another channel retunes — the earliest receivable slot on the
+/// target channel starts at `⌊t⌋ + 1 + switch_slots`, since the slot in
+/// flight at the switch instant is already lost. With one channel the client never switches and the
 /// model is bit-identical to the original single-program simulator.
 pub struct ClientModel {
     core: ClientCore,
@@ -63,8 +43,6 @@ pub struct ClientModel {
     /// Padding-fill pull mirror: misses also wait on the next empty slot
     /// of the page's home channel (see [`SimConfig::pull`]).
     pull: bool,
-    phase: Phase,
-    end_time: f64,
     /// Span identity (the seed for seeded constructors, 0 otherwise).
     trace_id: u64,
     /// Sampled wait-attribution spans, in completion order. Empty (and
@@ -138,23 +116,9 @@ impl ClientModel {
             tuned: ChannelId(0),
             switch_slots: cfg.switch_slots,
             pull: cfg.pull,
-            phase: Phase::Request,
-            end_time: 0.0,
             trace_id,
             spans: Vec::new(),
         }
-    }
-
-    /// Consumes the client, producing the run's outcome.
-    pub fn into_outcome(self) -> SimOutcome {
-        self.core.finish(self.end_time).0
-    }
-
-    /// Consumes the client, producing the outcome together with the
-    /// wait-attribution spans sampled during the run (empty unless
-    /// [`bdisk_obs::trace::set_sample_every`] enabled sampling).
-    pub fn into_traced_outcome(self) -> (SimOutcome, Vec<Span>) {
-        (self.core.finish(self.end_time).0, self.spans)
     }
 
     /// Records one sampled request span: into the process span ring (which
@@ -190,91 +154,87 @@ impl ClientModel {
         let lb = (requested_at.ceil() + 1.0).max(min_seq as f64);
         self.plan.next_padding_arrival(home, lb)
     }
-}
 
-impl Process for ClientModel {
-    fn resume(&mut self, now: Time) -> Action {
-        let t = now.as_f64();
-        match self.phase {
-            Phase::Request => {
-                let page = self.core.next_request();
-                // Sampling is decided at issue time: one request is in
-                // flight and the measuring flag only flips inside
-                // complete_request, so the index gate here matches the
-                // index the request is recorded under.
-                let traced = self.core.measuring() && trace::sampled(self.core.measured_count());
-                if self.core.contains(page) {
-                    self.core.on_hit(page, t);
-                    if traced {
-                        // A cache hit waits on nothing: the all-zero span.
-                        self.emit_span(t, t, t, t);
-                    }
-                    if self.core.complete_request(0.0, AccessLocation::Cache) {
-                        self.end_time = t;
-                        self.phase = Phase::Finished;
-                        return Action::Done;
-                    }
-                    Action::Sleep(Time::new(self.core.think_delay()))
-                } else {
-                    let channel = self.plan.channel_of(page);
-                    let (min_seq, periodic, no_switch) = if channel == self.tuned {
-                        let periodic = self.plan.next_arrival(page, t);
-                        (0u64, periodic, periodic)
-                    } else {
-                        // Single-tuner constraint: retuning forfeits the
-                        // slot in flight and pays the switch penalty. The
-                        // no-switch anchor is what the wait would have been
-                        // had the tuner already been on the page's channel;
-                        // the gap to the actual arrival is the switch cost.
-                        self.tuned = channel;
-                        let after = t.floor() + 1.0 + self.switch_slots;
-                        (
-                            after.ceil() as u64,
-                            self.plan.next_arrival(page, after),
-                            self.plan.next_arrival(page, t),
-                        )
-                    };
-                    let mut arrival = periodic;
-                    if self.pull {
-                        // Backchannel mirror: the effective arrival is the
-                        // earlier of the periodic airing and the pull
-                        // service — same arithmetic as the live client.
-                        if let Some(pa) = self.pull_arrival(page, t, min_seq) {
-                            arrival = arrival.min(pa);
-                        }
-                    }
-                    let anchors = traced.then_some((no_switch, arrival));
-                    self.phase = Phase::Receive {
-                        page,
-                        requested_at: t,
-                        trace: anchors,
-                    };
-                    Action::Until(Time::new(arrival))
+    /// Runs the Section 4.1 loop to completion and returns the outcome with
+    /// the sampled wait-attribution spans.
+    ///
+    /// The server is a deterministic cycle, so the client is the only
+    /// actor and the clock is a plain `f64`: a think advances it by the
+    /// think delay, a miss jumps it to the page's arrival (never
+    /// backwards).
+    pub fn run(mut self) -> (SimOutcome, Vec<Span>) {
+        let mut now = 0.0f64;
+        loop {
+            let page = self.core.next_request();
+            // Sampling is decided at issue time: one request is in flight
+            // and the measuring flag only flips inside complete_request,
+            // so the index gate here matches the index the request is
+            // recorded under.
+            let traced = self.core.measuring() && trace::sampled(self.core.measured_count());
+            let (response, location) = if self.core.contains(page) {
+                self.core.on_hit(page, now);
+                if traced {
+                    // A cache hit waits on nothing: the all-zero span.
+                    self.emit_span(now, now, now, now);
                 }
+                (0.0, AccessLocation::Cache)
+            } else {
+                let requested_at = now;
+                let (arrival, no_switch) = self.arrival(page, now);
+                now = arrival.max(now);
+                self.core.insert(page, now);
+                if traced {
+                    // The anchors are pure plan arithmetic: tracing never
+                    // draws from the RNG, so sampled and unsampled runs
+                    // stay bit-identical.
+                    self.emit_span(requested_at, no_switch, arrival, now);
+                }
+                (
+                    now - requested_at,
+                    AccessLocation::Disk(self.plan.disk_of(page)),
+                )
+            };
+            if self.core.complete_request(response, location) {
+                let outcome = self.core.finish(now).0;
+                return (outcome, self.spans);
             }
-            Phase::Receive {
-                page,
-                requested_at,
-                trace: anchors,
-            } => {
-                self.core.insert(page, t);
-                let disk = self.plan.disk_of(page);
-                self.phase = Phase::Request;
-                if let Some((no_switch, expected)) = anchors {
-                    self.emit_span(requested_at, no_switch, expected, t);
-                }
-                if self
-                    .core
-                    .complete_request(t - requested_at, AccessLocation::Disk(disk))
-                {
-                    self.end_time = t;
-                    self.phase = Phase::Finished;
-                    return Action::Done;
-                }
-                Action::Sleep(Time::new(self.core.think_delay()))
-            }
-            Phase::Finished => Action::Done,
+            now += self.core.think_delay();
+            debug_assert!(now.is_finite(), "virtual time must stay finite");
         }
+    }
+
+    /// When a miss on `page` at time `t` is served, and the no-switch
+    /// anchor for wait attribution: `(arrival, no_switch)`.
+    ///
+    /// A miss on the tuned channel waits in place. A miss on another
+    /// channel retunes (the single-tuner constraint): the slot in flight
+    /// is forfeit and the switch penalty is paid; the no-switch anchor is
+    /// what the wait would have been had the tuner already been on the
+    /// page's channel, so the gap to the actual arrival is the switch
+    /// cost. With pull on, the effective arrival is the earlier of the
+    /// periodic airing and the pull service — the live client's
+    /// arithmetic.
+    fn arrival(&mut self, page: PageId, t: f64) -> (f64, f64) {
+        let channel = self.plan.channel_of(page);
+        let (min_seq, periodic, no_switch) = if channel == self.tuned {
+            let periodic = self.plan.next_arrival(page, t);
+            (0u64, periodic, periodic)
+        } else {
+            self.tuned = channel;
+            let after = t.floor() + 1.0 + self.switch_slots;
+            (
+                after.ceil() as u64,
+                self.plan.next_arrival(page, after),
+                self.plan.next_arrival(page, t),
+            )
+        };
+        let mut arrival = periodic;
+        if self.pull {
+            if let Some(pa) = self.pull_arrival(page, t, min_seq) {
+                arrival = arrival.min(pa);
+            }
+        }
+        (arrival, no_switch)
     }
 }
 
@@ -325,11 +285,7 @@ pub fn simulate_plan_traced(
 }
 
 fn run_client(client: ClientModel) -> Result<(SimOutcome, Vec<Span>), SimError> {
-    let mut executor = ProcessExecutor::new();
-    executor.spawn_at(Time::ZERO, client);
-    executor.run_to_completion();
-    let mut states = executor.into_states();
-    let (outcome, spans) = states.remove(0).into_traced_outcome();
+    let (outcome, spans) = client.run();
     let m = crate::obs::metrics();
     m.runs.inc();
     m.measured_requests.add(outcome.measured_requests);

@@ -70,10 +70,7 @@ pub fn simulate_population(
         mapping.apply_noise(layout, spec.noise, &mut rng);
         let client =
             ClientModel::with_mapping(&spec.config, layout, program.clone(), mapping, rng)?;
-        let mut ex = bdesim::ProcessExecutor::new();
-        ex.spawn_at(bdesim::Time::ZERO, client);
-        ex.run_to_completion();
-        Ok(ex.into_states().remove(0).into_outcome())
+        Ok(client.run().0)
     });
 
     let mut per_client = Vec::with_capacity(results.len());
