@@ -541,6 +541,9 @@ mod tests {
         for seq in 0..slots {
             transport.broadcast(payloads.frame(seq, Slot::Page(PageId(seq as u32 % 8))));
         }
+        // Put every backlog on the air, as an idle engine does: the
+        // staggered cadence has flushed only part of the fleet by now.
+        transport.flush();
         // One request per tuner per 4 frames, surfacing as the tuners
         // digest the broadcast.
         let expected = n as u64 * (slots / cfg.every);

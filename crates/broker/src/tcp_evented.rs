@@ -39,16 +39,24 @@
 //!   over the same address while clients reconnect.
 //!
 //! Writes are batched: frames accumulate in per-connection backlogs and
-//! are flushed every `flush_every` broadcasts (or on a writable event).
-//! A free-running engine relies on that cadence alone, trading a delivery
-//! delay of up to one cadence for syscall amortization across slots, on
-//! top of the write amplification already being O(1) per slot in payload
-//! bytes. That delay is wall-clock latency a tuner waits through, which
-//! matters to a paced broadcast (and to a pull answered over it), so a
-//! paced engine with time left before its next slot calls
-//! [`Transport::flush`] and each slot leaves in its own slot time. A
-//! paced engine running behind its deadlines skips that call and falls
-//! back to the cadence.
+//! each backlog is flushed once every `flush_every` broadcasts (or on a
+//! writable event). A free-running engine relies on that cadence alone,
+//! trading a delivery delay of up to one cadence for syscall amortization
+//! across slots, on top of the write amplification already being O(1)
+//! per slot in payload bytes. That delay is wall-clock latency a tuner
+//! waits through, which matters to a paced broadcast (and to a pull
+//! answered over it), so a paced engine with time left before its next
+//! slot calls [`Transport::flush`] and each slot leaves in its own slot
+//! time. A paced engine running behind its deadlines skips that call and
+//! falls back to the cadence.
+//!
+//! The cadence is staggered. Connections fall into `min(16, flush_every)`
+//! stripes by slab index, and stripe `s` flushes at broadcast offset
+//! `s · ⌊flush_every / stripes⌋` of each cadence. Every connection still
+//! gets one full-batch `writev` per cadence, but a flush slot writes one
+//! stripe of the fleet instead of all of it, so no single slot carries a
+//! whole cadence of socket bytes and the slot clock stays smooth.
+//! [`Transport::flush`] and `finish` flush every stripe.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -99,8 +107,13 @@ const LISTENER_TOKEN: Token = Token(usize::MAX);
 const SLOW_CONSUMER_TOP_K: usize = 4;
 
 /// Most backlog buffers folded into one vectored write; bounds the
-/// stack-allocated `IoSlice` array (IOV_MAX is far larger).
+/// stack-allocated `IoSlice` array (IOV_MAX is far larger), and so the
+/// largest [`TcpTransportConfig::max_coalesce`] `bind` accepts.
 const MAX_BATCH: usize = 64;
+
+/// Most stripes a flush cadence is staggered over (fewer when the cadence
+/// is shorter than this many broadcasts).
+const MAX_STRIPES: usize = 16;
 
 /// Cap on parsed-but-undrained upstream requests held by the transport.
 /// The engine drains every tick; this only bounds memory if it stops
@@ -171,7 +184,7 @@ fn flush_conn_inner(
     let m = crate::obs::evented();
     let tcp_m = crate::obs::tcp();
     while !conn.backlog.is_empty() {
-        let batch = conn.backlog.len().min(max_coalesce).min(MAX_BATCH);
+        let batch = conn.backlog.len().min(max_coalesce);
         let mut total = 0usize;
         // Fixed-size stack array: the hot path never allocates an iovec.
         let iov: [IoSlice<'_>; MAX_BATCH] = std::array::from_fn(|i| {
@@ -254,11 +267,14 @@ pub struct EventedTcpTransport {
     /// Occupied slab slots.
     live: usize,
     next_conn_id: u64,
-    /// Broadcasts since the last backlog flush.
-    since_flush: usize,
-    /// Flush cadence: every this many broadcasts (writable events flush
-    /// eagerly in between).
+    /// Broadcasts into the current flush cadence, modulo `flush_every`.
+    cadence: usize,
+    /// Flush cadence: each backlog is flushed once every this many
+    /// broadcasts (writable events flush eagerly in between).
     flush_every: usize,
+    /// Stripes the cadence is staggered over: slab index `i` flushes at
+    /// offset `(i % stripes) · ⌊flush_every / stripes⌋`.
+    stripes: usize,
     /// Reusable buffer for draining client-to-server bytes.
     read_scratch: Box<[u8]>,
     /// Total client-to-server bytes drained (the upstream channel of the
@@ -292,6 +308,11 @@ impl EventedTcpTransport {
         );
         assert!(cfg.queue_capacity > 0, "need send-buffer capacity");
         assert!(cfg.max_coalesce > 0, "flushes must send at least one frame");
+        assert!(
+            cfg.max_coalesce <= MAX_BATCH,
+            "max_coalesce {} exceeds the {MAX_BATCH}-frame vectored write",
+            cfg.max_coalesce
+        );
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -300,6 +321,7 @@ impl EventedTcpTransport {
         // Flush often enough that a backlog never fills from batching
         // alone, rarely enough to amortize the write syscalls.
         let flush_every = cfg.max_coalesce.min(cfg.queue_capacity / 2).max(1);
+        let stripes = flush_every.min(MAX_STRIPES);
         Ok(Self {
             addr,
             cfg,
@@ -311,8 +333,9 @@ impl EventedTcpTransport {
             pending_free: Vec::new(),
             live: 0,
             next_conn_id: 0,
-            since_flush: 0,
+            cadence: 0,
             flush_every,
+            stripes,
             read_scratch: vec![0u8; 4096].into_boxed_slice(),
             upstream_bytes: 0,
             pending_requests: Vec::new(),
@@ -597,10 +620,12 @@ impl EventedTcpTransport {
         }
     }
 
-    /// Flushes every unarmed, non-empty backlog (armed connections wait
-    /// for their writable event instead of burning a doomed syscall).
-    /// Returns whether any backlog bytes remain anywhere.
-    fn flush_ready(&mut self, stats: &mut DeliveryStats) -> bool {
+    /// Flushes every unarmed, non-empty backlog whose slab index is
+    /// `stripe` modulo `stripes` (armed connections wait for their
+    /// writable event instead of burning a doomed syscall); `(0, 1)`
+    /// flushes them all. Returns whether any of those backlogs still
+    /// holds bytes.
+    fn flush_ready(&mut self, stripe: usize, stripes: usize, stats: &mut DeliveryStats) -> bool {
         let Self {
             poll,
             slab,
@@ -610,7 +635,7 @@ impl EventedTcpTransport {
             ..
         } = self;
         let mut remaining = false;
-        for idx in 0..slab.len() {
+        for idx in (stripe..slab.len()).step_by(stripes) {
             let mut dead = false;
             if let Some(conn) = slab[idx].as_mut() {
                 if !conn.backlog.is_empty() && !conn.armed {
@@ -687,10 +712,13 @@ impl Transport for EventedTcpTransport {
             let wire = frame.encode_shared();
             self.enqueue_all(&wire, &mut stats);
         }
-        self.since_flush += 1;
-        if self.since_flush >= self.flush_every {
-            self.since_flush = 0;
-            self.flush_ready(&mut stats);
+        // The offset wraps to 0 where an unstaggered cadence would flush
+        // everything; stripe 0 flushes there, the rest `stride` apart.
+        self.cadence = (self.cadence + 1) % self.flush_every;
+        let stride = self.flush_every / self.stripes;
+        let stripe = self.cadence / stride;
+        if self.cadence.is_multiple_of(stride) && stripe < self.stripes {
+            self.flush_ready(stripe, self.stripes, &mut stats);
         }
         let m = crate::obs::tcp();
         m.bytes.add(stats.bytes);
@@ -707,11 +735,7 @@ impl Transport for EventedTcpTransport {
 
     fn flush(&mut self) -> DeliveryStats {
         let mut stats = DeliveryStats::default();
-        if self.since_flush == 0 {
-            return stats;
-        }
-        self.since_flush = 0;
-        self.flush_ready(&mut stats);
+        self.flush_ready(0, 1, &mut stats);
         crate::obs::tcp().disconnects.add(stats.disconnected);
         stats
     }
@@ -734,7 +758,7 @@ impl Transport for EventedTcpTransport {
         // that stopped reading cannot wedge shutdown.
         let deadline = Instant::now() + self.cfg.drain_grace;
         loop {
-            let mut remaining = self.flush_ready(&mut stats);
+            let mut remaining = self.flush_ready(0, 1, &mut stats);
             remaining |= self.slab.iter().flatten().any(|c| !c.backlog.is_empty());
             if !remaining || Instant::now() >= deadline {
                 break;
@@ -998,6 +1022,83 @@ mod tests {
             backpressure: Backpressure::Block,
             ..TcpTransportConfig::default()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-frame vectored write")]
+    fn max_coalesce_above_the_vectored_write_rejected_at_bind() {
+        let _ = EventedTcpTransport::bind(TcpTransportConfig {
+            max_coalesce: MAX_BATCH + 1,
+            ..TcpTransportConfig::default()
+        });
+    }
+
+    /// Airs three cadences to 37 never-reading peers (not a multiple of
+    /// the 16 stripes) and reads the stagger off the backlogs: tiny frames
+    /// fit the socket buffers, so a backlog is empty right after a
+    /// broadcast exactly when that broadcast flushed it.
+    fn check_stagger(queue_capacity: usize, want_stripes: usize) {
+        const CONNS: usize = 37;
+        const CADENCES: usize = 3;
+        let mut transport = EventedTcpTransport::bind(TcpTransportConfig {
+            queue_capacity,
+            ..cfg()
+        })
+        .unwrap();
+        let peers: Vec<_> = (0..CONNS)
+            .map(|_| TcpStream::connect(transport.local_addr()).unwrap())
+            .collect();
+        assert!(transport.wait_for_clients(CONNS, Duration::from_secs(5)));
+        assert_eq!(transport.slab.len(), CONNS);
+        assert_eq!(transport.stripes, want_stripes);
+        let every = transport.flush_every;
+        let most_per_broadcast = CONNS.div_ceil(want_stripes);
+        let mut flushed_at = vec![Vec::new(); CONNS];
+        for seq in 0..(CADENCES * every) as u64 {
+            let stats = transport.broadcast(Frame::bare(seq, Slot::Empty));
+            assert_eq!(stats.delivered, CONNS as u64);
+            let mut written = 0;
+            for (idx, conn) in transport.slab.iter().enumerate() {
+                let backlog = conn.as_ref().expect("peer still connected").backlog.len();
+                assert!(
+                    backlog <= every,
+                    "connection {idx} holds {backlog} > {every}"
+                );
+                if backlog == 0 {
+                    written += 1;
+                    flushed_at[idx].push(seq);
+                }
+            }
+            assert!(
+                written <= most_per_broadcast,
+                "broadcast {seq} wrote {written} connections"
+            );
+        }
+        for (idx, at) in flushed_at.iter().enumerate() {
+            assert_eq!(at.len(), CADENCES, "connection {idx} flushed at {at:?}");
+            assert!(
+                at.windows(2).all(|w| w[1] - w[0] == every as u64),
+                "connection {idx} flushed at {at:?}, cadence {every}"
+            );
+        }
+        transport.flush();
+        assert!(transport
+            .slab
+            .iter()
+            .flatten()
+            .all(|c| c.backlog.is_empty()));
+        drop(peers);
+    }
+
+    #[test]
+    fn flush_cadence_is_staggered_over_sixteen_stripes() {
+        check_stagger(TcpTransportConfig::default().queue_capacity, 16);
+    }
+
+    /// A queue of 8 caps the cadence at 4 broadcasts, so 4 stripes.
+    #[test]
+    fn short_cadence_staggers_over_fewer_stripes() {
+        check_stagger(8, 4);
     }
 
     #[test]
