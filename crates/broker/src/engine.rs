@@ -310,6 +310,13 @@ impl BroadcastEngine {
     /// paced one running behind, never calls it: the transport keeps its
     /// own batching cadence.
     ///
+    /// With pull on, a tick runs: flush → wait for the deadline → read
+    /// the backchannel ([`Transport::take_requests`], once per tick) →
+    /// arbitrate → broadcast. A request that arrives before slot `s`'s
+    /// deadline can therefore air at `s`. The arbiter's waits
+    /// ([`PullStats::max_wait`], the `bd_pull_*` metrics) count from the
+    /// last aired slot when the request was read, `s - 1`.
+    ///
     /// With a multi-plan book, epoch `e+1` takes over from epoch `e` at
     /// the cycle boundary `base_e + swap_every_cycles * period_e`; the
     /// engine airs announce fences for `fence_lead` slots beforehand and
@@ -449,15 +456,6 @@ impl BroadcastEngine {
                     a.on_plan_change(cur.coding().is_some());
                 }
             }
-            // Drain the upstream backchannel into the arbiter before
-            // deciding this tick's slots. `seq - 1` is the look-back
-            // horizon: everything up to the previous tick is on the air.
-            if let Some(a) = arbiter.as_mut() {
-                transport.take_requests(&mut req_buf);
-                for r in req_buf.drain(..) {
-                    a.submit(r, cur, base, seq.saturating_sub(1));
-                }
-            }
             if !self.cfg.slot_duration.is_zero() {
                 let deadline = slot_deadline(start, self.cfg.slot_duration, seq - start_seq);
                 // Idle before this slot is due: put what the transport has
@@ -484,6 +482,17 @@ impl BroadcastEngine {
                     self.cfg.slot_duration
                 };
                 std::thread::sleep(stall);
+            }
+            // Drain the upstream backchannel into the arbiter at the slot
+            // deadline, after the idle flush and the sleep: a request sent
+            // in reply to the frame that flush aired is arbitrated for this
+            // very slot. `seq - 1` is the look-back horizon: everything up
+            // to the previous tick is on the air.
+            if let Some(a) = arbiter.as_mut() {
+                transport.take_requests(&mut req_buf);
+                for r in req_buf.drain(..) {
+                    a.submit(r, cur, base, seq.saturating_sub(1));
+                }
             }
             // Out-of-band fences, aired per channel *before* this tick's
             // data frames and sharing its seq. Refresh fences re-announce
@@ -634,7 +643,7 @@ mod tests {
     use super::*;
     use crate::bus::InMemoryBus;
     use crate::transport::Backpressure;
-    use bdisk_sched::DiskLayout;
+    use bdisk_sched::{DiskLayout, PageId};
 
     fn program() -> BroadcastProgram {
         let layout = DiskLayout::with_delta(&[4, 8, 12], 2).unwrap();
@@ -1067,5 +1076,158 @@ mod tests {
             flushes(Duration::from_millis(1), Duration::from_millis(2)),
             0
         );
+    }
+
+    /// A one-tuner closed loop over a paced engine. Each `flush` "airs"
+    /// the latest frame and, when no request is outstanding and `asks`
+    /// accepts the next seq, stages a request `(user 0, page, min_seq =
+    /// aired seq + 1)` that the next `take_requests` hands over. A frame
+    /// carrying the page at or after `min_seq` answers it.
+    struct ClosedLoop {
+        page: PageId,
+        asks: Box<dyn Fn(u64) -> bool + Send>,
+        last_seq: Option<u64>,
+        staged: Option<PullRequest>,
+        outstanding: Option<u64>,
+        /// `(min_seq, seq, slot)` of every answered request.
+        answered: Vec<(u64, u64, Slot)>,
+    }
+
+    impl ClosedLoop {
+        fn new(page: u32, asks: impl Fn(u64) -> bool + Send + 'static) -> Self {
+            Self {
+                page: PageId(page),
+                asks: Box::new(asks),
+                last_seq: None,
+                staged: None,
+                outstanding: None,
+                answered: Vec::new(),
+            }
+        }
+    }
+
+    impl Transport for ClosedLoop {
+        fn broadcast(&mut self, frame: Frame) -> DeliveryStats {
+            self.last_seq = Some(frame.seq);
+            let carries = matches!(frame.slot, Slot::Page(p) | Slot::Pull(p) if p == self.page);
+            if let Some(min_seq) = self.outstanding.filter(|&m| carries && frame.seq >= m) {
+                self.answered.push((min_seq, frame.seq, frame.slot));
+                self.outstanding = None;
+            }
+            DeliveryStats::default()
+        }
+
+        fn active_clients(&self) -> usize {
+            1
+        }
+
+        fn flush(&mut self) -> DeliveryStats {
+            let min_seq = self.last_seq.map(|s| s + 1);
+            if let Some(min_seq) = min_seq.filter(|&m| self.outstanding.is_none() && (self.asks)(m))
+            {
+                self.staged = Some(PullRequest {
+                    user: 0,
+                    page: self.page,
+                    min_seq,
+                });
+                self.outstanding = Some(min_seq);
+            }
+            DeliveryStats::default()
+        }
+
+        fn take_requests(&mut self, out: &mut Vec<PullRequest>) {
+            out.extend(self.staged.take());
+        }
+    }
+
+    /// Runs `plan` paced at 1 ms under `mode` against `tuner` and returns
+    /// its answered requests, requiring at least 20 of them. A late tick
+    /// skips `flush` and so stages nothing: host load thins the sample
+    /// but cannot bend a single answer.
+    fn closed_loop(
+        plan: BroadcastPlan,
+        mode: PullMode,
+        mut tuner: ClosedLoop,
+    ) -> Vec<(u64, u64, Slot)> {
+        let engine = BroadcastEngine::with_plan(
+            plan,
+            EngineConfig {
+                max_slots: 300,
+                slot_duration: Duration::from_millis(1),
+                ..EngineConfig::default()
+            },
+        )
+        .with_pull(PullConfig {
+            mode,
+            max_queue: 64,
+        });
+        engine.run(&mut tuner);
+        assert!(
+            tuner.answered.len() >= 20,
+            "only {} requests answered",
+            tuner.answered.len()
+        );
+        tuner.answered
+    }
+
+    #[test]
+    fn adaptive_pull_read_at_the_deadline_airs_one_slot_later() {
+        // No padding; the cold page 2 airs once per 20 slots.
+        let slots = (0..20)
+            .map(|i| Slot::Page(PageId(if i == 0 { 2 } else { i % 2 })))
+            .collect();
+        let plan =
+            BroadcastPlan::single(BroadcastProgram::from_slots(slots, None, vec![]).unwrap());
+        let far = plan.clone();
+        let tuner = ClosedLoop::new(2, move |m| {
+            far.next_arrival(PageId(2), m as f64) > (m + 2) as f64
+        });
+        let mode = PullMode::Adaptive {
+            max_ratio: 0.5,
+            depth_target: 1,
+        };
+        // Read at min_seq's own tick, the request earns half a steal there
+        // and the whole one a tick later.
+        for (min_seq, seq, slot) in closed_loop(plan, mode, tuner) {
+            assert_eq!(
+                (seq, slot),
+                (min_seq + 1, Slot::Pull(PageId(2))),
+                "min_seq {min_seq}"
+            );
+        }
+    }
+
+    #[test]
+    fn padding_fill_answers_a_request_due_on_padding_in_that_slot() {
+        // `A B - A C -`: pages 0, 1, 2 with padding at offsets 2 and 5.
+        let slots = vec![
+            Slot::Page(PageId(0)),
+            Slot::Page(PageId(1)),
+            Slot::Empty,
+            Slot::Page(PageId(0)),
+            Slot::Page(PageId(2)),
+            Slot::Empty,
+        ];
+        let plan =
+            BroadcastPlan::single(BroadcastProgram::from_slots(slots, None, vec![]).unwrap());
+        let on_padding = |m: u64| plan.slot_at(ChannelId(0), m) == Slot::Empty;
+        let answered = closed_loop(
+            plan.clone(),
+            PullMode::PaddingFill,
+            ClosedLoop::new(1, |_| true),
+        );
+        let due_on_padding: Vec<_> = answered.iter().filter(|a| on_padding(a.0)).collect();
+        assert!(
+            due_on_padding.len() >= 5,
+            "only {} due on padding",
+            due_on_padding.len()
+        );
+        for &&(min_seq, seq, slot) in &due_on_padding {
+            assert_eq!(
+                (seq, slot),
+                (min_seq, Slot::Pull(PageId(1))),
+                "min_seq {min_seq}"
+            );
+        }
     }
 }

@@ -544,7 +544,10 @@ pub trait Transport: Send {
     /// Drains every upstream [`PullRequest`] received since the last call
     /// into `out` (appending; arrival order preserved). The engine polls
     /// this once per tick when pull arbitration is enabled and never
-    /// otherwise, so push-only runs pay nothing. The default is the
+    /// otherwise, so push-only runs pay nothing. A paced engine polls
+    /// after its idle flush and pacing wait, just before arbitration, so
+    /// a request that arrives before slot `s`'s deadline can air at `s`.
+    /// The default is the
     /// downstream-only transport: no requests, `out` untouched.
     fn take_requests(&mut self, _out: &mut Vec<PullRequest>) {}
 }

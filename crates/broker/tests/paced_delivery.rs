@@ -118,3 +118,64 @@ fn adaptive_pull_is_answered_within_a_few_slots() {
         answer.seq - min_seq
     );
 }
+
+#[test]
+fn closed_loop_pulls_air_one_slot_after_min_seq() {
+    // The engine reads the backchannel at each slot deadline, after the
+    // idle flush: a request sent in reply to the frame that flush aired
+    // is arbitrated for the very next slot, and the adaptive steal's two
+    // ticks of credit air it one slot later.
+    const REQUESTS: usize = 16;
+    let plan = plan();
+    let page = (0..plan.num_pages() as u32)
+        .map(PageId)
+        .max_by(|a, b| {
+            let at = |p: &PageId| plan.next_arrival(*p, 1.0);
+            at(a).total_cmp(&at(b))
+        })
+        .unwrap();
+    assert!(plan.next_arrival(page, 1.0) > (1 + 8 * REQUESTS) as f64);
+    let engine = BroadcastEngine::with_plan(
+        plan,
+        EngineConfig {
+            max_slots: 2000,
+            slot_duration: SLOT,
+            ..EngineConfig::default()
+        },
+    )
+    .with_pull(PullConfig {
+        mode: PullMode::Adaptive {
+            max_ratio: 0.5,
+            depth_target: 1,
+        },
+        max_queue: 64,
+    });
+    let (_, mut waits) = run_with_tuner(&engine, |mut reader| {
+        let mut last = reader.recv().unwrap().expect("first frame").seq;
+        let mut waits = Vec::with_capacity(REQUESTS);
+        while waits.len() < REQUESTS {
+            let min_seq = last + 1;
+            reader.send_request(0, page, min_seq).unwrap();
+            loop {
+                let frame = reader
+                    .recv()
+                    .unwrap()
+                    .expect("answered before end of stream");
+                last = frame.seq;
+                if frame.seq >= min_seq
+                    && (frame.slot == Slot::Pull(page) || frame.slot == Slot::Page(page))
+                {
+                    waits.push(frame.seq - min_seq);
+                    break;
+                }
+            }
+        }
+        waits
+    });
+    waits.sort_unstable();
+    assert!(
+        waits[REQUESTS / 2] <= 1,
+        "median pull answered {} slots after min_seq (sorted: {waits:?})",
+        waits[REQUESTS / 2]
+    );
+}
