@@ -5,12 +5,12 @@
 //! and drains all of them from a single thread with one [`mini_mio::Poll`]
 //! — the receiving mirror of the evented transport's design, and the only
 //! way to put 10k+ live connections on one core (a thread-per-tuner fleet
-//! would need 10k stacks and a scheduler meltdown). Each tuner
-//! incrementally reassembles the length-prefixed wire format, verifies
-//! every frame's CRC (via [`crate::transport::body_crc_ok`], without
-//! materializing a [`crate::Frame`]), and tracks sequence gaps. The fleet
-//! runs until the server closes the connections, then reports per-tuner
-//! and aggregate statistics.
+//! would need 10k stacks and a scheduler meltdown). Each tuner feeds its
+//! reads through its own [`FrameStream`] — the one wire parser, which
+//! verifies every frame's CRC in place and bounds the length prefix — and
+//! tracks sequence gaps. A tuner whose peer sends an over-bound prefix is
+//! retired like one whose read failed. The fleet runs until every
+//! connection is closed, then reports per-tuner and aggregate statistics.
 //!
 //! This is deliberately *not* a [`crate::LiveClient`] fleet: tuners here
 //! measure the wire (frames, bytes, integrity, continuity), not cache
@@ -19,14 +19,14 @@
 //! instead.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bdisk_sched::PageId;
 use mini_mio::{Events, Interest, Poll, Token};
 
-use crate::transport::{body_crc_ok, LEN_PREFIX};
+use crate::transport::{FrameError, FrameStream};
 use crate::upstream::encode_request;
 
 /// Upstream-request behaviour for a requester fleet
@@ -101,10 +101,10 @@ impl FleetReport {
     }
 }
 
-/// Per-tuner reassembly state inside the drainer.
+/// Per-tuner state inside the drainer.
 struct Tuner {
     stream: TcpStream,
-    rx: Reassembler,
+    frames: FrameStream,
     stats: TunerStats,
     open: bool,
     /// Upstream request cadence, when this is a requester fleet.
@@ -115,91 +115,29 @@ struct Tuner {
 }
 
 impl TunerStats {
-    /// Accounts every complete frame at the head of `buf` and returns how
-    /// many bytes were consumed (a trailing partial frame stays).
-    fn consume(&mut self, buf: &[u8]) -> usize {
-        let mut offset = 0usize;
-        loop {
-            let rest = &buf[offset..];
-            if rest.len() < LEN_PREFIX {
-                break;
-            }
-            let len = u32::from_le_bytes(rest[..LEN_PREFIX].try_into().unwrap()) as usize;
-            if rest.len() < LEN_PREFIX + len {
-                break;
-            }
-            let body = &rest[LEN_PREFIX..LEN_PREFIX + len];
-            self.bytes += (LEN_PREFIX + len) as u64;
-            if body_crc_ok(body) {
-                let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-                if let Some(last) = self.last_seq {
-                    if seq > last + 1 {
+    /// Accounts every frame `chunk` completes on `frames`; an over-bound
+    /// length prefix is the one error that ends the connection.
+    pub(crate) fn ingest(
+        &mut self,
+        frames: &mut FrameStream,
+        mut chunk: &[u8],
+    ) -> Result<(), FrameError> {
+        while let Some(frame) = frames.next(&mut chunk) {
+            match frame {
+                Ok(view) => {
+                    let seq = view.seq();
+                    if self.last_seq.is_some_and(|last| seq > last + 1) {
                         self.gaps += 1;
                     }
+                    self.last_seq = Some(self.last_seq.map_or(seq, |l| l.max(seq)));
+                    self.frames += 1;
                 }
-                self.last_seq = Some(self.last_seq.map_or(seq, |l| l.max(seq)));
-                self.frames += 1;
-            } else {
-                self.crc_errors += 1;
+                Err(e @ FrameError::TooLong { .. }) => return Err(e),
+                Err(_) => self.crc_errors += 1,
             }
-            offset += LEN_PREFIX + len;
+            self.bytes = frames.framed_bytes();
         }
-        offset
-    }
-}
-
-/// Incremental reassembly of one connection's length-prefixed frames.
-///
-/// Frames parse straight out of each read's buffer; only a frame that
-/// straddles two reads is copied, and only its own bytes. So `pending`
-/// never holds more than one frame, whatever the read size.
-#[derive(Debug, Default)]
-struct Reassembler {
-    /// The leading bytes of the one frame cut off by the end of a read.
-    pending: Vec<u8>,
-}
-
-impl Reassembler {
-    /// Accounts every frame `chunk` completes into `stats` and keeps the
-    /// trailing fragment, if any.
-    fn ingest(&mut self, stats: &mut TunerStats, mut chunk: &[u8]) {
-        if !self.pending.is_empty() {
-            // Copy just the bytes that complete the buffered frame: the
-            // rest of its length prefix if that was cut, then its body.
-            if self.pending.len() < LEN_PREFIX {
-                let take = (LEN_PREFIX - self.pending.len()).min(chunk.len());
-                self.pending.extend_from_slice(&chunk[..take]);
-                chunk = &chunk[take..];
-            }
-            let Some(frame_len) = self.pending_frame_len() else {
-                return;
-            };
-            let take = (frame_len - self.pending.len()).min(chunk.len());
-            self.keep(&chunk[..take]);
-            chunk = &chunk[take..];
-            if self.pending.len() < frame_len {
-                return;
-            }
-            let consumed = stats.consume(&self.pending);
-            debug_assert_eq!(consumed, frame_len);
-            self.pending.clear();
-        }
-        let consumed = stats.consume(chunk);
-        self.keep(&chunk[consumed..]);
-    }
-
-    /// Wire length of the buffered frame, once its length prefix is in.
-    fn pending_frame_len(&self) -> Option<usize> {
-        let prefix = self.pending.get(..LEN_PREFIX)?.try_into();
-        Some(LEN_PREFIX + u32::from_le_bytes(prefix.expect("a LEN_PREFIX-byte slice")) as usize)
-    }
-
-    /// Appends part of the buffered frame, growing the buffer to exactly
-    /// what it holds (never the doubling `extend` would pick), so its
-    /// capacity stays within one frame.
-    fn keep(&mut self, bytes: &[u8]) {
-        self.pending.reserve_exact(bytes.len());
-        self.pending.extend_from_slice(bytes);
+        Ok(())
     }
 }
 
@@ -324,7 +262,7 @@ fn drain_fleet(
         poll.register(&stream, Token(i), Interest::READABLE)?;
         tuners.push(Tuner {
             stream,
-            rx: Reassembler::default(),
+            frames: FrameStream::default(),
             stats: TunerStats::default(),
             open: true,
             requester,
@@ -361,7 +299,7 @@ fn drain_fleet(
 }
 
 /// One poll turn: read every ready tuner dry, parse complete frames,
-/// retire closed connections.
+/// retire closed connections and those sent an over-bound prefix.
 fn drain_once(
     poll: &mut Poll,
     events: &mut Events,
@@ -380,23 +318,24 @@ fn drain_once(
             continue;
         }
         loop {
-            match tuner.stream.read(scratch) {
-                Ok(0) => {
-                    // Server closed: this tuner's broadcast is over.
-                    let _ = poll.deregister(&tuner.stream);
-                    tuner.open = false;
-                    *open -= 1;
-                    break;
-                }
-                Ok(read) => tuner.rx.ingest(&mut tuner.stats, &scratch[..read]),
+            let retire = match tuner.stream.read(scratch) {
+                // Server closed: this tuner's broadcast is over.
+                Ok(0) => true,
+                // An over-bound length prefix: hang up, as on a read error.
+                Ok(read) => tuner
+                    .stats
+                    .ingest(&mut tuner.frames, &scratch[..read])
+                    .is_err(),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    let _ = poll.deregister(&tuner.stream);
-                    tuner.open = false;
-                    *open -= 1;
-                    break;
-                }
+                Err(_) => true,
+            };
+            if retire {
+                let _ = poll.deregister(&tuner.stream);
+                let _ = tuner.stream.shutdown(Shutdown::Both);
+                tuner.open = false;
+                *open -= 1;
+                break;
             }
         }
         if tuner.open {
@@ -413,85 +352,42 @@ mod tests {
     use crate::transport::{PagePayloads, Transport};
     use bdisk_sched::{PageId, Slot};
 
-    /// A stream of frames of mixed kinds and sizes, as the wire carries
-    /// them, with the largest frame's wire length.
-    fn frame_stream() -> (Vec<u8>, usize) {
-        let payloads = PagePayloads::generate(8, 1000);
-        let mut wire = Vec::new();
-        let mut largest = 0;
-        for seq in 0..40u64 {
-            let slot = match seq % 5 {
-                3 => Slot::Empty,
-                _ => Slot::Page(PageId(seq as u32 % 8)),
-            };
-            // Skip some sequence numbers so the stream has gaps to count.
-            let bytes = payloads.frame(seq * 2 - seq % 3, slot).encode();
-            largest = largest.max(bytes.len());
-            wire.extend_from_slice(&bytes);
-        }
-        // One damaged frame, so the CRC-failure count is exercised too.
-        let last = wire.len() - 1;
-        wire[last] ^= 0x40;
-        (wire, largest)
-    }
-
-    fn stats_key(s: &TunerStats) -> (u64, u64, u64, u64, Option<u64>) {
-        (s.frames, s.bytes, s.crc_errors, s.gaps, s.last_seq)
-    }
-
     #[test]
-    fn reassembly_is_split_invariant() {
-        let (wire, _) = frame_stream();
-        let mut whole = TunerStats::default();
-        assert_eq!(whole.consume(&wire), wire.len());
-        assert_eq!(whole.frames, 39);
-        assert_eq!(whole.crc_errors, 1);
-        assert!(whole.gaps > 0);
-        // Two reads split at every byte offset.
-        for cut in 0..=wire.len() {
-            let mut rx = Reassembler::default();
-            let mut stats = TunerStats::default();
-            rx.ingest(&mut stats, &wire[..cut]);
-            rx.ingest(&mut stats, &wire[cut..]);
-            assert_eq!(stats_key(&stats), stats_key(&whole), "split at {cut}");
-            assert!(rx.pending.is_empty());
-        }
-        // Reads of every small size, so frames straddle many reads and
-        // length prefixes get cut too.
-        for read in 1..=16 {
-            let mut rx = Reassembler::default();
-            let mut stats = TunerStats::default();
-            for chunk in wire.chunks(read) {
-                rx.ingest(&mut stats, chunk);
-            }
-            assert_eq!(stats_key(&stats), stats_key(&whole), "reads of {read}");
-            assert!(rx.pending.is_empty());
-        }
-    }
-
-    #[test]
-    fn reassembly_buffers_at_most_one_frame() {
-        let (frames, largest) = frame_stream();
-        let mut wire = Vec::new();
-        while wire.len() < 4 * 64 * 1024 {
-            wire.extend_from_slice(&frames);
-        }
-        let mut rx = Reassembler::default();
-        let mut stats = TunerStats::default();
-        let mut cut_mid_frame = 0;
-        for chunk in wire.chunks(64 * 1024) {
-            rx.ingest(&mut stats, chunk);
-            cut_mid_frame += usize::from(!rx.pending.is_empty());
-            assert!(
-                rx.pending.capacity() <= largest,
-                "buffer grew to {} for {largest}-byte frames",
-                rx.pending.capacity()
-            );
-        }
-        assert!(cut_mid_frame > 0, "some 64 KiB read must end mid-frame");
-        let mut whole = TunerStats::default();
-        whole.consume(&wire);
-        assert_eq!(stats_key(&stats), stats_key(&whole));
+    fn fleet_retires_a_tuner_sent_an_over_bound_prefix() {
+        // A raw socket posing as the server: one intact frame, then a
+        // forged length prefix and filler, with the socket held open. The
+        // tuner must hang up on the prefix alone, not buffer toward it.
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let frame = PagePayloads::generate(8, 64).frame(0, Slot::Page(PageId(3)));
+        let wire = frame.encode();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(&wire).unwrap();
+            stream.write_all(&(u32::MAX - 7).to_le_bytes()).unwrap();
+            // The fleet may hang up mid-filler; that is the point.
+            let _ = stream.write_all(&vec![0x5A; 256 * 1024]);
+            // Wait (boundedly) for the fleet's end to close. Dropping the
+            // socket after the timeout ends even a fleet that never hangs
+            // up, so the test cannot hang.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let read = stream.read(&mut [0u8; 1]);
+            !matches!(&read, Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
+        });
+        let report = TunerFleet::launch(addr, 1).unwrap().join().unwrap();
+        assert!(
+            server.join().unwrap(),
+            "the fleet kept the forged connection open"
+        );
+        let tuner = report.tuners[0];
+        assert_eq!(tuner.frames, 1);
+        assert_eq!(tuner.last_seq, Some(0));
+        assert_eq!(tuner.crc_errors, 0);
+        // Only the intact frame was framed; the forged one never began.
+        assert_eq!(tuner.bytes, frame.wire_len() as u64);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //!   grow a thread per listener. The client half is [`TcpFrameReader`]
 //!   and the self-healing [`TcpClientFeed`]; [`TunerFleet`] is the
 //!   benchmark receive side: thousands of CRC-checking tuners drained by
-//!   one thread.
+//!   one thread. Every receiver frames the wire with the one sans-IO
+//!   parser, [`FrameStream`], which bounds the untrusted length prefix
+//!   by [`MAX_FRAME_LEN`] and yields borrowed, CRC-checked
+//!   [`FrameView`]s.
 //!
 //! Frames carry real page payloads ([`PagePayloads`], sized by
 //! `EngineConfig::page_size` — the paper's `PageSize` knob) as shared
@@ -69,11 +72,10 @@ pub use faults::{ChannelFault, FaultCounts, FaultInjector, FaultPlan};
 pub use fleet::{FleetReport, RequesterConfig, TunerFleet, TunerStats};
 pub use metrics::{aggregate, LiveReport};
 pub use obs::register_metrics;
-pub use tcp_client::{
-    backoff_delay, ReconnectPolicy, TcpClientFeed, TcpFrameReader, MAX_FRAME_LEN,
-};
+pub use tcp_client::{backoff_delay, ReconnectPolicy, TcpClientFeed, TcpFrameReader};
 pub use tcp_evented::{EventedTcpTransport, TcpTransportConfig};
 pub use transport::{
-    Backpressure, DeliveryStats, Frame, FrameError, PagePayloads, PullRequest, Transport,
+    Backpressure, DeliveryStats, Frame, FrameError, FrameStream, FrameView, PagePayloads,
+    PullRequest, Transport, MAX_FRAME_LEN,
 };
 pub use upstream::{encode_request, UpstreamParser};

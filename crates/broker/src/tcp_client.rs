@@ -1,10 +1,11 @@
-//! The **client** half of the TCP broadcast: a frame reader that decodes
-//! the length-prefixed feed (and writes upstream pull requests), plus a
-//! self-healing feed that reconnects with seeded, capped backoff.
+//! The **client** half of the TCP broadcast: a frame reader that feeds
+//! the socket's bytes through the one wire parser,
+//! [`crate::transport::FrameStream`] (and writes upstream pull requests),
+//! plus a self-healing feed that reconnects with seeded, capped backoff.
 //!
 //! The server half is [`crate::EventedTcpTransport`].
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -12,17 +13,8 @@ use bdisk_obs::journal::{event, EventKind};
 use bdisk_sched::PageId;
 
 use crate::faults::SplitMix;
-use crate::transport::{Frame, FrameError};
+use crate::transport::{Frame, FrameError, FrameStream};
 use crate::upstream::encode_request;
-
-/// Upper bound on one wire frame's body length. The length prefix is
-/// attacker-visible plaintext (it sits outside the CRC-protected body), so
-/// a reader must never trust it as an allocation size: a single forged
-/// 32-bit prefix could otherwise demand a 4 GiB buffer. Real frames are a
-/// 22-byte header plus one page or repair symbol, so 16 MiB is generous
-/// headroom for any plausible page size while keeping a hostile prefix
-/// harmless.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Client-side frame reader: connects and decodes the length-prefixed feed.
 ///
@@ -30,7 +22,9 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// surfaced: the receiver treats a damaged frame exactly like an erased
 /// one and recovers the page at its next periodic broadcast.
 pub struct TcpFrameReader {
-    stream: TcpStream,
+    /// The socket behind one reusable read buffer.
+    stream: BufReader<TcpStream>,
+    frames: FrameStream,
     corrupt: u64,
 }
 
@@ -45,7 +39,11 @@ impl TcpFrameReader {
     /// raw upstream bytes and now wants the framed downstream view).
     pub fn from_stream(stream: TcpStream) -> io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(Self { stream, corrupt: 0 })
+        Ok(Self {
+            stream: BufReader::with_capacity(64 * 1024, stream),
+            frames: FrameStream::default(),
+            corrupt: 0,
+        })
     }
 
     /// Frames discarded so far because their CRC failed.
@@ -58,61 +56,42 @@ impl TcpFrameReader {
     /// forget — the broker never replies on the backchannel; the answer,
     /// if any, is a `Slot::Pull` frame on the broadcast itself.
     pub fn send_request(&mut self, user: u32, page: PageId, min_seq: u64) -> io::Result<()> {
-        self.stream.write_all(&encode_request(user, page, min_seq))
+        self.stream
+            .get_mut()
+            .write_all(&encode_request(user, page, min_seq))
     }
 
     /// Reads the next intact frame, silently skipping CRC failures;
-    /// `Ok(None)` on a clean end of stream.
+    /// `Ok(None)` at the end of the stream, even mid-frame. Frames already
+    /// read are returned before the socket is read again.
     pub fn recv(&mut self) -> io::Result<Option<Frame>> {
         loop {
-            let mut len_buf = [0u8; 4];
-            if let Err(e) = self.stream.read_exact(&mut len_buf) {
-                return match e.kind() {
-                    io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset => Ok(None),
-                    _ => Err(e),
-                };
-            }
-            let len = u32::from_le_bytes(len_buf) as usize;
-            if len > MAX_FRAME_LEN {
-                // The prefix is unauthenticated: never let it size an
-                // allocation. A bound violation means a hostile or
-                // desynchronized peer, not line noise — hang up.
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame length {len} exceeds bound {MAX_FRAME_LEN}"),
-                ));
-            }
-            let mut body = vec![0u8; len];
-            match self.stream.read_exact(&mut body) {
-                Ok(()) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    // Truncated mid-frame (server shut down): treat as EOF.
-                    return Ok(None);
-                }
+            let chunk = match self.stream.fill_buf() {
+                Ok([]) => return Ok(None),
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Ok(None),
                 Err(e) => return Err(e),
-            }
-            match Frame::decode(&body) {
-                Ok(frame) => return Ok(Some(frame)),
-                Err(FrameError::Corrupt { .. }) => {
-                    // Damaged in flight. Framing is intact (the length
-                    // prefix is outside the faultable body), so skip this
-                    // frame and keep reading; the sequence gap it leaves
-                    // is the client's recovery signal.
+            };
+            let mut input = chunk;
+            let next = match self.frames.next(&mut input) {
+                Some(Ok(view)) => Some(Ok(view.to_frame())),
+                // Damaged in flight. Framing is intact (the length prefix
+                // is outside the faultable body), so skip this frame; the
+                // sequence gap it leaves is the client's recovery signal.
+                Some(Err(FrameError::Corrupt { .. })) => {
                     self.corrupt += 1;
-                    crate::obs::recovery().frames_corrupt.inc();
-                    continue;
+                    None
                 }
-                Err(FrameError::Truncated) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "malformed frame",
-                    ));
-                }
+                // A short body, or an over-bound prefix from a hostile or
+                // desynchronized peer.
+                Some(Err(e)) => Some(Err(io::Error::new(io::ErrorKind::InvalidData, e))),
+                None => None,
+            };
+            let used = chunk.len() - input.len();
+            self.stream.consume(used);
+            if let Some(frame) = next {
+                return frame.map(Some);
             }
         }
     }
@@ -276,10 +255,38 @@ mod tests {
             "unexpected error: {err}"
         );
         server.join().unwrap();
+    }
 
-        // A length exactly at the bound is still read (and then rejected
-        // only by frame decoding, not by the allocation guard).
-        assert!(MAX_FRAME_LEN < u32::MAX as usize);
+    #[test]
+    fn length_prefix_at_the_bound_is_read_not_rejected() {
+        // The bound is inclusive: a MAX_FRAME_LEN prefix is a frame in
+        // progress, so a peer that hangs up inside it is a plain end of
+        // stream. One byte more is refused on the prefix alone.
+        use crate::transport::MAX_FRAME_LEN;
+        use std::net::TcpListener;
+        for (len, rejected) in [(MAX_FRAME_LEN, false), (MAX_FRAME_LEN + 1, true)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream.write_all(&(len as u32).to_le_bytes()).unwrap();
+                let _ = stream.write_all(&[0u8; 4096]);
+            });
+            let mut reader = TcpFrameReader::connect(addr).unwrap();
+            match reader.recv() {
+                Ok(None) => assert!(!rejected, "{len} was not rejected"),
+                Err(e) => {
+                    assert!(rejected, "{len} was rejected: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    assert!(
+                        e.to_string().contains("exceeds bound"),
+                        "unexpected error: {e}"
+                    );
+                }
+                Ok(Some(frame)) => panic!("{len} yielded {frame:?}"),
+            }
+            server.join().unwrap();
+        }
     }
 
     #[test]

@@ -55,11 +55,24 @@ pub const LEN_PREFIX: usize = 4;
 /// seq + channel + page).
 pub const CRC_OFFSET: usize = 14;
 
-/// Why a frame body failed to decode.
+/// Upper bound on one wire frame's body length, which [`FrameStream`]
+/// enforces for every receiver. The length prefix sits outside the CRC, so
+/// it must never size an allocation: a forged prefix could demand 4 GiB.
+/// Real frames are a 22-byte header plus one page or repair symbol, so
+/// 16 MiB is generous headroom for any plausible page size.
+pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+
+/// Why a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
     /// The body is shorter than the fixed header.
     Truncated,
+    /// The length prefix claims a body above [`MAX_FRAME_LEN`]: a hostile
+    /// or desynchronized peer, fatal to a [`FrameStream`].
+    TooLong {
+        /// Body length the prefix claimed.
+        len: usize,
+    },
     /// The CRC32 over seq + channel + page + payload does not match the header's.
     /// The frame was damaged in flight; receivers discard it and recover
     /// the page at its next periodic broadcast.
@@ -74,7 +87,10 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::Truncated => write!(f, "frame body shorter than header"),
+            FrameError::Truncated => write!(f, "malformed frame: body shorter than header"),
+            FrameError::TooLong { len } => {
+                write!(f, "frame length {len} exceeds bound {MAX_FRAME_LEN}")
+            }
             FrameError::Corrupt { expected, found } => {
                 write!(
                     f,
@@ -263,66 +279,10 @@ impl Frame {
     }
 
     /// Parses and verifies a frame body (everything after the length
-    /// prefix). Fails with [`FrameError::Truncated`] when the body is
-    /// shorter than the header and [`FrameError::Corrupt`] when the CRC
-    /// over seq + page + payload disagrees with the header's — any
-    /// single-bit damage to the body is caught here. Bytes past the header
-    /// become the frame's payload.
-    ///
-    /// The wire version is read off the channel field's high bit: v3
-    /// bodies carry a 4-byte epoch after the CRC and may carry the
-    /// [`FENCE_SENTINEL`] page value. v2 bodies decode with epoch 0 and
-    /// never interpret the fence sentinel (it remains a legal v2 repair
-    /// id).
+    /// prefix) into an owned frame: [`FrameView::parse`], then
+    /// [`FrameView::to_frame`].
     pub fn decode(body: &[u8]) -> Result<Frame, FrameError> {
-        if body.len() < HEADER_LEN {
-            return Err(FrameError::Truncated);
-        }
-        let expected = u32::from_le_bytes(body[CRC_OFFSET..CRC_OFFSET + 4].try_into().unwrap());
-        let found = body_crc(body);
-        if found != expected {
-            return Err(FrameError::Corrupt { expected, found });
-        }
-        let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-        let chan_raw = u16::from_le_bytes(body[8..10].try_into().unwrap());
-        let v3 = chan_raw & CHANNEL_V3_FLAG != 0;
-        let pull = chan_raw & CHANNEL_PULL_FLAG != 0;
-        let channel = chan_raw & !(CHANNEL_V3_FLAG | CHANNEL_PULL_FLAG);
-        if v3 && body.len() < HEADER_LEN_V3 {
-            return Err(FrameError::Truncated);
-        }
-        let header_len = if v3 { HEADER_LEN_V3 } else { HEADER_LEN };
-        let epoch = if v3 {
-            u32::from_le_bytes(body[HEADER_LEN..HEADER_LEN_V3].try_into().unwrap())
-        } else {
-            0
-        };
-        let page = u32::from_le_bytes(body[10..14].try_into().unwrap());
-        let slot = if pull {
-            // The pull flag overrides the page-field sentinel space: a
-            // pull airing always carries a plain page id.
-            Slot::Pull(PageId(page))
-        } else if v3 && page == FENCE_SENTINEL {
-            Slot::EpochFence
-        } else if page == EMPTY_SENTINEL {
-            Slot::Empty
-        } else if page & REPAIR_FLAG != 0 {
-            Slot::Repair(RepairId(page & !REPAIR_FLAG))
-        } else {
-            Slot::Page(PageId(page))
-        };
-        let payload = if body.len() > header_len {
-            Arc::from(&body[header_len..])
-        } else {
-            empty_payload()
-        };
-        Ok(Frame {
-            seq,
-            channel,
-            slot,
-            epoch,
-            payload,
-        })
+        FrameView::parse(body).map(|view| view.to_frame())
     }
 }
 
@@ -335,13 +295,190 @@ fn body_crc(body: &[u8]) -> u32 {
     crate::crc::crc32_finish(state)
 }
 
-/// True when `body` (a frame body, after the length prefix) carries a CRC
-/// consistent with its bytes. Lets transports check integrity without
-/// materializing a [`Frame`].
-pub fn body_crc_ok(body: &[u8]) -> bool {
-    body.len() >= HEADER_LEN
-        && body_crc(body)
-            == u32::from_le_bytes(body[CRC_OFFSET..CRC_OFFSET + 4].try_into().unwrap())
+/// A borrowed, CRC-verified frame body: [`Frame`] without the copy. Each
+/// field is read out of the body when asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    body: &'a [u8],
+    header_len: usize,
+}
+
+impl<'a> FrameView<'a> {
+    /// Verifies a frame body (everything after the length prefix):
+    /// [`FrameError::Truncated`] when it is shorter than its header,
+    /// [`FrameError::Corrupt`] when the CRC disagrees — any single-bit
+    /// damage to the body is caught here. The channel field's high bit
+    /// marks wire v3, whose header adds a 4-byte epoch and whose page
+    /// field may carry [`FENCE_SENTINEL`] (on v2 it stays a repair id).
+    pub fn parse(body: &'a [u8]) -> Result<Self, FrameError> {
+        if body.len() < HEADER_LEN {
+            return Err(FrameError::Truncated);
+        }
+        let expected = u32::from_le_bytes(body[CRC_OFFSET..CRC_OFFSET + 4].try_into().unwrap());
+        let found = body_crc(body);
+        if found != expected {
+            return Err(FrameError::Corrupt { expected, found });
+        }
+        let v3 = u16::from_le_bytes([body[8], body[9]]) & CHANNEL_V3_FLAG != 0;
+        let header_len = if v3 { HEADER_LEN_V3 } else { HEADER_LEN };
+        if body.len() < header_len {
+            return Err(FrameError::Truncated);
+        }
+        Ok(FrameView { body, header_len })
+    }
+
+    fn field<const N: usize>(&self, at: usize) -> [u8; N] {
+        self.body[at..at + N].try_into().expect("a header field")
+    }
+
+    /// Absolute slot sequence number.
+    pub fn seq(&self) -> u64 {
+        u64::from_le_bytes(self.field(0))
+    }
+
+    /// Broadcast channel, with the wire's flag bits cleared.
+    pub fn channel(&self) -> u16 {
+        u16::from_le_bytes(self.field(8)) & !(CHANNEL_V3_FLAG | CHANNEL_PULL_FLAG)
+    }
+
+    /// Plan epoch (0 on a v2 frame).
+    pub fn epoch(&self) -> u32 {
+        match self.header_len {
+            HEADER_LEN_V3 => u32::from_le_bytes(self.field(HEADER_LEN)),
+            _ => 0,
+        }
+    }
+
+    /// The slot content the page field and the channel flags encode.
+    pub fn slot(&self) -> Slot {
+        let page = u32::from_le_bytes(self.field(10));
+        if u16::from_le_bytes(self.field(8)) & CHANNEL_PULL_FLAG != 0 {
+            // The pull flag overrides the page-field sentinel space: a
+            // pull airing always carries a plain page id.
+            Slot::Pull(PageId(page))
+        } else if self.header_len == HEADER_LEN_V3 && page == FENCE_SENTINEL {
+            Slot::EpochFence
+        } else if page == EMPTY_SENTINEL {
+            Slot::Empty
+        } else if page & REPAIR_FLAG != 0 {
+            Slot::Repair(RepairId(page & !REPAIR_FLAG))
+        } else {
+            Slot::Page(PageId(page))
+        }
+    }
+
+    /// The bytes past the header.
+    pub fn payload(&self) -> &'a [u8] {
+        &self.body[self.header_len..]
+    }
+
+    /// Copies the view into an owned [`Frame`].
+    pub fn to_frame(&self) -> Frame {
+        let payload = match self.payload() {
+            [] => empty_payload(),
+            bytes => Arc::from(bytes),
+        };
+        Frame {
+            seq: self.seq(),
+            channel: self.channel(),
+            slot: self.slot(),
+            epoch: self.epoch(),
+            payload,
+        }
+    }
+}
+
+/// The one parser of the length-prefixed wire: a receiver feeds it each
+/// chunk its socket returns, in order, and takes back verified
+/// [`FrameView`]s.
+///
+/// * A frame that lies wholly inside a chunk is parsed in place. Only a
+///   frame that straddles two chunks is copied, and only its own bytes,
+///   so the stream never buffers more than one frame.
+/// * The length prefix sits outside the CRC, so it is untrusted: a prefix
+///   above [`MAX_FRAME_LEN`] yields [`FrameError::TooLong`] before a byte
+///   is buffered toward it, and a straddling frame's buffer grows only as
+///   its bytes arrive, never to what its prefix claims. `TooLong` is
+///   fatal: the stream does not move past it, and the receiver hangs up.
+/// * [`FrameError::Corrupt`] and [`FrameError::Truncated`] are per-frame:
+///   the framing is intact, so the stream goes on past them. Each CRC
+///   failure counts once in `bd_frames_corrupt_total`.
+#[derive(Debug, Default)]
+pub struct FrameStream {
+    /// The leading bytes of the one frame cut off by the end of a chunk
+    /// (the whole frame, once completed, until the next call).
+    pending: Vec<u8>,
+    framed_bytes: u64,
+}
+
+impl FrameStream {
+    /// The next frame from `input`, which is advanced past it; `None` once
+    /// `input` holds no further complete frame (its tail is then
+    /// buffered).
+    #[inline]
+    pub fn next<'a, 'b: 'a>(
+        &'a mut self,
+        input: &mut &'b [u8],
+    ) -> Option<Result<FrameView<'a>, FrameError>> {
+        if wire_len(&self.pending) == Some(Ok(self.pending.len())) {
+            self.pending.clear(); // the frame the previous call yielded
+        }
+        let in_place = self.pending.is_empty().then(|| wire_len(input));
+        let wire = match in_place.flatten() {
+            Some(Err(e)) => return Some(Err(e)),
+            Some(Ok(n)) if n <= input.len() => {
+                let (wire, rest) = input.split_at(n);
+                *input = rest;
+                wire
+            }
+            _ => {
+                // Copy just the bytes that complete the buffered frame:
+                // the rest of its length prefix if that was cut, then its
+                // body.
+                self.keep(input, LEN_PREFIX.saturating_sub(self.pending.len()));
+                let n = match wire_len(&self.pending)? {
+                    Ok(n) => n,
+                    Err(e) => return Some(Err(e)),
+                };
+                self.keep(input, n - self.pending.len());
+                if self.pending.len() < n {
+                    return None;
+                }
+                &self.pending[..]
+            }
+        };
+        self.framed_bytes += wire.len() as u64;
+        let view = FrameView::parse(&wire[LEN_PREFIX..]);
+        if matches!(view, Err(FrameError::Corrupt { .. })) {
+            crate::obs::recovery().frames_corrupt.inc();
+        }
+        Some(view)
+    }
+
+    /// Wire bytes of every frame yielded so far, length prefixes included,
+    /// whether or not it verified.
+    pub fn framed_bytes(&self) -> u64 {
+        self.framed_bytes
+    }
+
+    /// Moves up to `n` bytes from `input` into the buffer, growing it to
+    /// exactly what it holds (never the doubling `extend` would pick).
+    fn keep(&mut self, input: &mut &[u8], n: usize) {
+        let (head, rest) = input.split_at(n.min(input.len()));
+        self.pending.reserve_exact(head.len());
+        self.pending.extend_from_slice(head);
+        *input = rest;
+    }
+}
+
+/// Wire length of the frame at the head of `bytes`, once its length
+/// prefix is in; [`FrameError::TooLong`] when the prefix is over bound.
+fn wire_len(bytes: &[u8]) -> Option<Result<usize, FrameError>> {
+    let len = u32::from_le_bytes(bytes.get(..LEN_PREFIX)?.try_into().ok()?) as usize;
+    Some(match len {
+        0..=MAX_FRAME_LEN => Ok(LEN_PREFIX + len),
+        _ => Err(FrameError::TooLong { len }),
+    })
 }
 
 /// Pre-built page payloads, one shared buffer per page.
@@ -555,6 +692,8 @@ pub trait Transport: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::TunerStats;
+    use proptest::prelude::*;
 
     #[test]
     fn frame_round_trips_with_payload() {
@@ -706,7 +845,7 @@ mod tests {
         let f = payloads.frame(77, Slot::Page(PageId(5)));
         let bytes = f.encode();
         let body = &bytes[LEN_PREFIX..];
-        assert!(body_crc_ok(body));
+        assert!(FrameView::parse(body).is_ok());
         // Flip every bit of the body (header fields, CRC itself, payload):
         // decode must reject each damaged copy.
         for bit in 0..body.len() * 8 {
@@ -716,7 +855,7 @@ mod tests {
                 matches!(Frame::decode(&damaged), Err(FrameError::Corrupt { .. })),
                 "bit {bit} flip went undetected"
             );
-            assert!(!body_crc_ok(&damaged));
+            assert!(FrameView::parse(&damaged).is_err());
         }
     }
 
@@ -857,7 +996,7 @@ mod tests {
             .with_epoch(3);
         let bytes = f.encode();
         let body = &bytes[LEN_PREFIX..];
-        assert!(body_crc_ok(body));
+        assert!(FrameView::parse(body).is_ok());
         for bit in 0..body.len() * 8 {
             let mut damaged = body.to_vec();
             damaged[bit / 8] ^= 1 << (bit % 8);
@@ -930,5 +1069,237 @@ mod tests {
         assert_eq!(a.disconnected, 1);
         assert_eq!(a.bytes, 80);
         assert_eq!(a.max_queue, 5);
+    }
+
+    /// A stream of frames of mixed kinds and sizes, as the wire carries
+    /// them, with the largest frame's wire length.
+    fn frame_stream() -> (Vec<u8>, usize) {
+        let payloads = PagePayloads::generate(8, 1000);
+        let mut wire = Vec::new();
+        let mut largest = 0;
+        for seq in 0..40u64 {
+            let slot = match seq % 5 {
+                3 => Slot::Empty,
+                _ => Slot::Page(PageId(seq as u32 % 8)),
+            };
+            // Skip some sequence numbers so the stream has gaps to count.
+            let bytes = payloads.frame(seq * 2 - seq % 3, slot).encode();
+            largest = largest.max(bytes.len());
+            wire.extend_from_slice(&bytes);
+        }
+        // One damaged frame, so the CRC-failure count is exercised too.
+        let last = wire.len() - 1;
+        wire[last] ^= 0x40;
+        (wire, largest)
+    }
+
+    fn stats_key(s: &TunerStats) -> (u64, u64, u64, u64, Option<u64>) {
+        (s.frames, s.bytes, s.crc_errors, s.gaps, s.last_seq)
+    }
+
+    /// A fleet tuner's tally of `chunks`, streamed in order.
+    fn tally<'c>(chunks: impl IntoIterator<Item = &'c [u8]>) -> (TunerStats, FrameStream) {
+        let mut stream = FrameStream::default();
+        let mut stats = TunerStats::default();
+        for chunk in chunks {
+            stats.ingest(&mut stream, chunk).expect("no forged prefix");
+        }
+        (stats, stream)
+    }
+
+    #[test]
+    fn reassembly_is_split_invariant() {
+        let (wire, _) = frame_stream();
+        let (whole, stream) = tally([&wire[..]]);
+        assert_eq!(whole.bytes, wire.len() as u64);
+        assert!(stream.pending.is_empty(), "one chunk is parsed in place");
+        assert_eq!(whole.frames, 39);
+        assert_eq!(whole.crc_errors, 1);
+        assert!(whole.gaps > 0);
+        // Two reads split at every byte offset.
+        for cut in 0..=wire.len() {
+            let (stats, stream) = tally([&wire[..cut], &wire[cut..]]);
+            assert_eq!(stats_key(&stats), stats_key(&whole), "split at {cut}");
+            assert!(stream.pending.is_empty());
+        }
+        // Reads of every small size, so frames straddle many reads and
+        // length prefixes get cut too.
+        for read in 1..=16 {
+            let (stats, stream) = tally(wire.chunks(read));
+            assert_eq!(stats_key(&stats), stats_key(&whole), "reads of {read}");
+            assert!(stream.pending.is_empty());
+        }
+    }
+
+    #[test]
+    fn reassembly_buffers_at_most_one_frame() {
+        let (frames, largest) = frame_stream();
+        let mut wire = Vec::new();
+        while wire.len() < 4 * 64 * 1024 {
+            wire.extend_from_slice(&frames);
+        }
+        let mut stream = FrameStream::default();
+        let mut stats = TunerStats::default();
+        let mut cut_mid_frame = 0;
+        for chunk in wire.chunks(64 * 1024) {
+            stats.ingest(&mut stream, chunk).unwrap();
+            cut_mid_frame += usize::from(!stream.pending.is_empty());
+            assert!(
+                stream.pending.capacity() <= largest,
+                "buffer grew to {} for {largest}-byte frames",
+                stream.pending.capacity()
+            );
+        }
+        assert!(cut_mid_frame > 0, "some 64 KiB read must end mid-frame");
+        let (whole, _) = tally([&wire[..]]);
+        assert_eq!(stats_key(&stats), stats_key(&whole));
+    }
+
+    #[test]
+    fn length_bound_is_inclusive_and_checked_before_buffering() {
+        // A prefix of exactly MAX_FRAME_LEN is a frame in progress: its
+        // bytes are buffered as they arrive, never reserved up front.
+        let mut stream = FrameStream::default();
+        let prefix = (MAX_FRAME_LEN as u32).to_le_bytes();
+        let mut input = &prefix[..];
+        assert!(stream.next(&mut input).is_none());
+        for arrived in 1..=4 {
+            let body = [0u8; 1000];
+            let mut input = &body[..];
+            assert!(stream.next(&mut input).is_none());
+            assert!(input.is_empty());
+            assert_eq!(stream.pending.len(), LEN_PREFIX + arrived * body.len());
+            assert!(stream.pending.capacity() <= stream.pending.len());
+        }
+        // One byte more is refused on the prefix alone, whole or cut, and
+        // nothing past the prefix is taken.
+        let forged = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
+        let tail = [forged.as_slice(), &[7u8; 64]].concat();
+        let mut input = &tail[..];
+        let mut stream = FrameStream::default();
+        let too_long = FrameError::TooLong {
+            len: MAX_FRAME_LEN + 1,
+        };
+        assert_eq!(stream.next(&mut input), Some(Err(too_long)));
+        assert_eq!(
+            input.len(),
+            tail.len(),
+            "an in-place prefix is not consumed"
+        );
+        assert_eq!(stream.pending.capacity(), 0);
+        let mut stream = FrameStream::default();
+        let (mut head, mut rest) = tail.split_at(2);
+        assert!(stream.next(&mut head).is_none());
+        assert_eq!(stream.next(&mut rest), Some(Err(too_long)));
+        assert_eq!(stream.pending.len(), LEN_PREFIX);
+        assert_eq!(rest.len(), 64);
+    }
+
+    /// A frame of wire kind `kind % 6` (page, pull, repair, padding, v3
+    /// epoch page, fence) with a `len`-byte payload where the kind has one.
+    fn any_frame(kind: u8, len: usize, seed: u64) -> Frame {
+        let payload: Arc<[u8]> = (0..len)
+            .map(|i| (seed >> (i % 8 * 8)) as u8 ^ i as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        let seq = seed >> 20;
+        let page = PageId((seed % 1000) as u32);
+        let frame = |slot| Frame {
+            seq,
+            channel: (seed % 7) as u16,
+            slot,
+            epoch: 0,
+            payload: Arc::clone(&payload),
+        };
+        match kind % 6 {
+            0 => frame(Slot::Page(page)),
+            1 => frame(Slot::Pull(page)),
+            2 => frame(Slot::Repair(RepairId(page.0))),
+            3 => Frame::bare_on(seq, 1, Slot::Empty),
+            4 => frame(Slot::Page(page)).with_epoch(1 + (seed % 9) as u32),
+            _ => Frame::fence(seq, 2, (seed % 5) as u32, seq / 2),
+        }
+    }
+
+    /// Streams `wire` in chunks of `sizes` bytes (cycled): the frames it
+    /// yields, its per-frame failures, and the fatal error that ended it,
+    /// if any. Checks the buffer never outgrows `largest` bytes.
+    fn stream_chunks(
+        wire: &[u8],
+        sizes: &[usize],
+        largest: usize,
+    ) -> (Vec<Frame>, u64, Option<FrameError>) {
+        let mut stream = FrameStream::default();
+        let (mut frames, mut failed) = (Vec::new(), 0);
+        let mut rest = wire;
+        for &size in sizes.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (mut chunk, tail) = rest.split_at(size.min(rest.len()));
+            rest = tail;
+            while let Some(item) = stream.next(&mut chunk) {
+                match item {
+                    Ok(view) => frames.push(view.to_frame()),
+                    Err(e @ FrameError::TooLong { .. }) => {
+                        assert!(stream.pending.len() <= LEN_PREFIX, "buffered toward {e}");
+                        return (frames, failed, Some(e));
+                    }
+                    Err(_) => failed += 1,
+                }
+                assert!(stream.pending.capacity() <= largest);
+            }
+            assert!(stream.pending.capacity() <= largest);
+        }
+        (frames, failed, None)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn frame_stream_round_trips_any_split(
+            specs in prop::collection::vec((0u8..6, 0usize..=5000, any::<u64>()), 0..10),
+            sizes in prop::collection::vec(1usize..=6000, 1..8),
+            damage in 0u8..4,
+            at in any::<u64>(),
+        ) {
+            let frames: Vec<Frame> =
+                specs.iter().map(|&(kind, len, seed)| any_frame(kind, len, seed)).collect();
+            let mut encoded: Vec<Vec<u8>> = frames.iter().map(Frame::encode).collect();
+            let mut largest = encoded.iter().map(Vec::len).max().unwrap_or(0);
+            let (mut expect, mut corrupt, mut fatal) = (frames.clone(), 0, None);
+            match damage {
+                // One flipped body bit: that frame fails its CRC.
+                1 if !frames.is_empty() => {
+                    let k = at as usize % frames.len();
+                    let bit = (at >> 16) as usize % ((encoded[k].len() - LEN_PREFIX) * 8);
+                    encoded[k][LEN_PREFIX + bit / 8] ^= 1 << (bit % 8);
+                    expect.remove(k);
+                    corrupt = 1;
+                }
+                // Leading garbage behind a plausible prefix: one failed frame.
+                2 => {
+                    let len = at as usize % 64;
+                    let mut garbage = (len as u32).to_le_bytes().to_vec();
+                    garbage.extend((0..len).map(|i| (at >> (i % 8 * 8)) as u8 ^ i as u8));
+                    largest = largest.max(garbage.len());
+                    encoded.insert(0, garbage);
+                    corrupt = 1;
+                }
+                // A forged prefix at a frame boundary: fatal there.
+                3 => {
+                    let k = at as usize % (frames.len() + 1);
+                    let len = MAX_FRAME_LEN + 1
+                        + (at >> 8) as usize % (u32::MAX as usize - MAX_FRAME_LEN);
+                    encoded.insert(k, (len as u32).to_le_bytes().to_vec());
+                    expect.truncate(k);
+                    fatal = Some(FrameError::TooLong { len });
+                }
+                _ => {}
+            }
+            let got = stream_chunks(&encoded.concat(), &sizes, largest);
+            prop_assert_eq!(got, (expect, corrupt, fatal));
+        }
     }
 }

@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use bdisk_broker::faults::InjectedFrame;
 use bdisk_broker::{
-    Backpressure, DeliveryStats, EventedTcpTransport, FaultInjector, FaultPlan, Frame,
-    PagePayloads, TcpTransportConfig, Transport,
+    Backpressure, DeliveryStats, EventedTcpTransport, FaultInjector, FaultPlan, Frame, FrameError,
+    FrameStream, PagePayloads, TcpTransportConfig, Transport,
 };
 use bdisk_sched::{PageId, RepairId, Slot};
 use proptest::prelude::*;
@@ -74,18 +74,18 @@ fn flip_bit(wire: &mut [u8], entropy: u64) {
     wire[LEN_PREFIX + bit / 8] ^= 1 << (bit % 8);
 }
 
-/// The byte stream every connection must receive, and how many frames it
-/// carries. A channel runs through its own injector when its plan (the
+/// The byte stream every connection must receive, how many frames it
+/// carries, and how many of those it corrupted. A channel runs through its own injector when its plan (the
 /// override if set, the default otherwise) can fault, and clean otherwise.
 fn model_wire(
     frames: &[Frame],
     default_plan: FaultPlan,
     chan_plan: Option<(u16, FaultPlan)>,
-) -> (Vec<u8>, u64) {
+) -> (Vec<u8>, u64, u64) {
     let mut injectors: BTreeMap<u16, Option<FaultInjector>> = BTreeMap::new();
     let mut out: Vec<InjectedFrame> = Vec::new();
     let mut wire = Vec::new();
-    let mut count = 0u64;
+    let (mut count, mut corrupted) = (0u64, 0u64);
     for frame in frames {
         let channel = frame.channel;
         let injector = injectors.entry(channel).or_insert_with(|| {
@@ -107,12 +107,13 @@ fn model_wire(
             let mut bytes = injected.frame.encode();
             if let Some(entropy) = injected.corrupt {
                 flip_bit(&mut bytes, entropy);
+                corrupted += 1;
             }
             wire.extend_from_slice(&bytes);
             count += 1;
         }
     }
-    (wire, count)
+    (wire, count, corrupted)
 }
 
 /// Broadcasts `frames` to `clients` concurrent readers and returns every
@@ -186,13 +187,24 @@ proptest! {
             (0u16, FaultPlan { seed: seed ^ 0xABCD, erasure: 0.3, ..FaultPlan::none() })
         });
 
-        let (model, model_frames) = model_wire(&specs, default_plan, chan_plan);
+        let (model, model_frames, model_corrupted) = model_wire(&specs, default_plan, chan_plan);
         let (streams, stats) = run_server(clients, &specs, default_plan, chan_plan);
 
         // Broadcast-once: every connection carries the modelled stream
         // (accept order is racy, so no connection is special).
         for (i, stream) in streams.iter().enumerate() {
             prop_assert_eq!(stream, &model, "conn {} diverged from the wire model", i);
+        }
+        // The receivers' one parser frames the server's bytes as the model
+        // does: every frame, and a CRC failure for each corrupted one.
+        for stream in &streams {
+            let (mut input, mut frames, mut corrupt) = (&stream[..], 0u64, 0u64);
+            let mut parser = FrameStream::default();
+            while let Some(frame) = parser.next(&mut input) {
+                frames += 1;
+                corrupt += u64::from(matches!(frame, Err(FrameError::Corrupt { .. })));
+            }
+            prop_assert_eq!((frames, corrupt), (model_frames, model_corrupted));
         }
         let clients = clients as u64;
         prop_assert_eq!(
