@@ -7,7 +7,7 @@
 //!   for "concrete design principles").
 
 use bdisk_cache::PolicyKind;
-use bdisk_sched::{optimize_layout, BroadcastProgram, DiskLayout, OptimizerConfig};
+use bdisk_sched::{optimize_layout, BroadcastPlan, BroadcastProgram, DiskLayout, OptimizerConfig};
 use bdisk_sim::{simulate_prefetch, SimConfig};
 use bdisk_workload::RegionZipf;
 
@@ -126,7 +126,7 @@ pub fn design(scale: Scale) {
     for (name, delta) in [("D4", 4u64), ("D5", 3)] {
         let l = layout(name, delta);
         let program = BroadcastProgram::generate(&l).expect("valid");
-        let analytic = bdisk_analytic::expected_response_time(&program, &probs);
+        let analytic = BroadcastPlan::single(program).expected_delay(&probs);
         let sim = run_point(&cfg, &l, scale).mean_response_time;
         println!(
             "{:>24}{:>8}{:>14.0}{:>14.1}",
@@ -257,7 +257,7 @@ pub fn index(_scale: Scale) {
         "m", "overhead", "access (bu)", "tuning (bu)", "doze fraction"
     );
     // Baseline: no index — the client listens from request to arrival.
-    let no_index_access = bdisk_analytic::expected_response_time(&program, &probs) + 1.0;
+    let no_index_access = BroadcastPlan::single(program.clone()).expected_delay(&probs) + 1.0;
     println!(
         "{:>6}{:>11.2}%{:>14.1}{:>14.1}{:>14}",
         "none", 0.0, no_index_access, no_index_access, "0%"

@@ -47,9 +47,9 @@
 //!   E[delay] ≥ (Σ_c √(A_c·W_c) + S_rest)² / C,   S_rest = Σ_{unplaced p} √(p/2)
 //!   ```
 //!
-//!   At the root this is the square-root rule's bound `(Σ_p √p)² / (2C)`.
-//!   It holds only for non-negative weights, which [`optimize_layout`]
-//!   checks.
+//!   At the root this is the square-root rule's bound `(Σ_p √p)² / (2C)`,
+//!   exported as [`sqrt_rule_bound`]. It holds only for non-negative
+//!   weights, which both functions check.
 //! * **Margin.** A subtree, or a whole channel-count pass, is pruned only
 //!   when `bound·(1 − 1e-9) > incumbent·(1 + 1e-9)`. Every value compared is
 //!   a sum of non-negative terms, so rounding moves it by far less than
@@ -221,12 +221,7 @@ pub fn optimize_layout(
     if probs.is_empty() {
         return Err(SchedError::EmptyProgram);
     }
-    if cfg.max_channels == 0 {
-        return Err(SchedError::NoChannels);
-    }
-    if let Some(page) = probs.iter().position(|&p| !(p.is_finite() && p >= 0.0)) {
-        return Err(SchedError::InvalidWeight { page });
-    }
+    check_inputs(probs, cfg.max_channels)?;
     let n = probs.len();
     let prefix = prefix_sums(probs);
     let root_tail = root_tail(probs);
@@ -273,6 +268,28 @@ pub fn optimize_layout(
         }
     }
     Ok(best)
+}
+
+/// The square-root rule's lower bound `(Σ_p √p)² / (2C)` on the expected
+/// delay of every plan over `channels` channels: [`optimize_layout`]'s
+/// bound at the root, before any disk is placed. Rejects the weights
+/// [`optimize_layout`] rejects, and `channels = 0`.
+pub fn sqrt_rule_bound(probs: &[f64], channels: usize) -> Result<f64, SchedError> {
+    check_inputs(probs, channels)?;
+    let root = vec![Partial::default(); channels];
+    Ok(bound(&root, root_tail(probs)[0]))
+}
+
+/// At least one channel, and every weight finite and non-negative: the
+/// bound assumes both.
+fn check_inputs(probs: &[f64], channels: usize) -> Result<(), SchedError> {
+    if channels == 0 {
+        return Err(SchedError::NoChannels);
+    }
+    match probs.iter().position(|&p| !(p.is_finite() && p >= 0.0)) {
+        Some(page) => Err(SchedError::InvalidWeight { page }),
+        None => Ok(()),
+    }
 }
 
 /// Prefix sums of probability mass for O(1) range mass.
@@ -805,6 +822,27 @@ mod tests {
     }
 
     #[test]
+    fn sqrt_rule_bound_never_beats_the_optimum() {
+        for theta in [0.0, 0.5, 0.95, 1.5] {
+            let probs = zipf_probs(80, theta);
+            for channels in 1..=3 {
+                let cfg = OptimizerConfig {
+                    max_disks: 3,
+                    max_delta: 4,
+                    max_candidates: 16,
+                    max_channels: channels,
+                };
+                let best = optimize_layout(&probs, &cfg).unwrap().expected_delay;
+                let bound = sqrt_rule_bound(&probs, channels).unwrap();
+                assert!(
+                    bound <= best * (1.0 + 1e-12),
+                    "θ {theta}, {channels} channels: bound {bound} above optimum {best}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_probs_rejected() {
         assert!(optimize_layout(&[], &OptimizerConfig::default()).is_err());
         let cfg = OptimizerConfig {
@@ -823,6 +861,10 @@ mod tests {
             optimize_layout(&[0.5, f64::NAN, 0.1], &OptimizerConfig::default()).unwrap_err(),
             SchedError::InvalidWeight { page: 1 }
         );
+        assert_eq!(
+            sqrt_rule_bound(&[0.5, f64::NAN, 0.1], 1).unwrap_err(),
+            SchedError::InvalidWeight { page: 1 }
+        );
     }
 
     #[test]
@@ -830,6 +872,10 @@ mod tests {
         for inf in [f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
                 optimize_layout(&[0.5, 0.3, inf], &OptimizerConfig::default()).unwrap_err(),
+                SchedError::InvalidWeight { page: 2 }
+            );
+            assert_eq!(
+                sqrt_rule_bound(&[0.5, 0.3, inf], 2).unwrap_err(),
                 SchedError::InvalidWeight { page: 2 }
             );
         }
@@ -840,6 +886,14 @@ mod tests {
         assert_eq!(
             optimize_layout(&[-0.25, 0.5], &OptimizerConfig::default()).unwrap_err(),
             SchedError::InvalidWeight { page: 0 }
+        );
+        assert_eq!(
+            sqrt_rule_bound(&[-0.25, 0.5], 1).unwrap_err(),
+            SchedError::InvalidWeight { page: 0 }
+        );
+        assert_eq!(
+            sqrt_rule_bound(&[0.5], 0).unwrap_err(),
+            SchedError::NoChannels
         );
     }
 
@@ -1078,6 +1132,23 @@ mod tests {
                 ours.push(evaluate(&prefix, &freqs, &num_chunks, max_chunks, &bounds));
             }
             let plan = crate::BroadcastPlan::generate(&layout, channels);
+            let sqrt_bound = sqrt_rule_bound(&probs, channels).unwrap();
+            if let Ok(plan) = &plan {
+                let delay = plan.expected_delay(&probs);
+                prop_assert!(
+                    sqrt_bound <= delay * (1.0 + 1e-12),
+                    "square-root bound {} above plan {}", sqrt_bound, delay
+                );
+            }
+            if channels == 1 {
+                // The square-root rule as usually stated, kept as an oracle.
+                let roots: f64 = probs.iter().map(|p| p.sqrt()).sum();
+                let oracle = roots * roots / 2.0;
+                prop_assert!(
+                    (sqrt_bound - oracle).abs() <= 1e-12 * oracle,
+                    "bound {} vs (Σ√p)²/2 = {}", sqrt_bound, oracle
+                );
+            }
             for delay in ours {
                 match (delay, &plan) {
                     (Some(d), Ok(plan)) => {

@@ -485,29 +485,34 @@ impl BroadcastPlan {
 
     /// Analytic expected delay (broadcast units) of a request stream with
     /// per-page weights `probs`, for a client already tuned to each page's
-    /// channel: `Σ_p probs[p] · Σ_g g²/(2·period)` over `p`'s gaps, which
+    /// channel: `Σ_p probs[p] ·` [`BroadcastProgram::expected_delay`], which
     /// reduces to `probs[p] · gap/2` for the fixed-gap programs this crate
-    /// generates. Weights beyond the plan's page count are ignored.
+    /// generates. Pages beyond `probs.len()` are never requested; more
+    /// weights than the plan has pages is a panic.
     pub fn expected_delay(&self, probs: &[f64]) -> f64 {
+        self.check_access_range(probs);
         let mut delay = 0.0;
-        for (p, &pr) in probs.iter().enumerate().take(self.num_pages()) {
+        for (p, &pr) in probs.iter().enumerate() {
             let ch = self.page_channel[p] as usize;
-            let local = PageId(self.page_local[p]);
-            let period = self.programs[ch].period() as f64;
-            let wait: f64 = self.programs[ch]
-                .gaps(local)
-                .iter()
-                .map(|g| g * g / (2.0 * period))
-                .sum();
-            delay += pr * wait;
+            delay += pr * self.programs[ch].expected_delay(PageId(self.page_local[p]));
         }
         delay
+    }
+
+    /// Panics unless every weight in `probs` names a page of the plan.
+    fn check_access_range(&self, probs: &[f64]) {
+        let (weights, pages) = (probs.len(), self.num_pages());
+        assert!(
+            weights <= pages,
+            "access range larger than the broadcast ({weights} > {pages})"
+        );
     }
 
     /// Analytic expected delay under an i.i.d. per-slot erasure rate
     /// `loss`, crediting the plan's repair slots.
     ///
-    /// Per page: the lossless Bus-Stop base `Σ g²/(2P)`, plus, with
+    /// Per page: the lossless Bus-Stop base
+    /// [`BroadcastProgram::expected_delay`], plus, with
     /// probability `loss`, the cost of a missed airing. A missed airing is
     /// repaired by the next covering repair symbol at mean distance `r̄`
     /// with probability `s = q·σ`, where `q` is the fraction of the page's
@@ -540,6 +545,7 @@ impl BroadcastPlan {
         if loss == 0.0 {
             return self.expected_delay(probs);
         }
+        self.check_access_range(probs);
         // Per channel: for each data-slot offset, the distance (in slots)
         // to the nearest repair symbol covering it, if any — plus the
         // peeling success probability σ from the mean coverage
@@ -580,7 +586,7 @@ impl BroadcastPlan {
             .collect();
 
         let mut delay = 0.0;
-        for (p, &pr) in probs.iter().enumerate().take(self.num_pages()) {
+        for (p, &pr) in probs.iter().enumerate() {
             if pr == 0.0 {
                 continue;
             }
@@ -588,11 +594,7 @@ impl BroadcastPlan {
             let prog = &self.programs[ch];
             let local = PageId(self.page_local[p]);
             let period = prog.period() as f64;
-            let base: f64 = prog
-                .gaps(local)
-                .iter()
-                .map(|g| g * g / (2.0 * period))
-                .sum();
+            let base = prog.expected_delay(local);
             let starts = prog.page_starts(local);
             let covered: Vec<u32> = starts
                 .iter()
@@ -768,6 +770,40 @@ mod tests {
             assert_eq!(plan.slot_at(ChannelId(0), seq), program.slot_at(seq));
         }
         assert_eq!(plan.disk_frequencies(), program.disk_frequencies());
+    }
+
+    #[test]
+    #[should_panic(expected = "access range larger")]
+    fn response_time_rejects_oversized_range() {
+        let flat = crate::flat_program(2).unwrap();
+        let _ = BroadcastPlan::single(flat).expected_delay(&[0.3, 0.3, 0.4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "access range larger")]
+    fn lossy_delay_rejects_oversized_range() {
+        let flat = crate::flat_program(2).unwrap();
+        let _ = BroadcastPlan::single(flat).expected_delay_lossy(&[0.3, 0.3, 0.4], 0.1);
+    }
+
+    #[test]
+    fn uncoded_lossy_delay_adds_the_mean_gap_per_loss() {
+        // With no repair symbols a missed airing costs the mean gap ḡ, and
+        // each retry is lost again with probability `loss`.
+        let program = crate::skewed_program(&[3, 1, 2]).unwrap();
+        let probs = [0.5, 0.2, 0.3];
+        let loss = 0.2;
+        let expect: f64 = probs
+            .iter()
+            .enumerate()
+            .map(|(p, &pr)| {
+                let page = PageId(p as u32);
+                let g_bar = program.period() as f64 / program.frequency(page) as f64;
+                pr * (program.expected_delay(page) + loss * g_bar / (1.0 - loss))
+            })
+            .sum();
+        let lossy = BroadcastPlan::single(program).expected_delay_lossy(&probs, loss);
+        assert!((lossy - expect).abs() < 1e-12, "{lossy} vs {expect}");
     }
 
     #[test]

@@ -273,6 +273,25 @@ impl BroadcastProgram {
         (wrap == expect).then_some(expect)
     }
 
+    /// Expected wait (broadcast units) for `page` from a request at a
+    /// uniformly random instant: `Σ g²/(2·period)` over its gaps. Exact
+    /// for any periodic program; it exceeds the even-spacing delay
+    /// `period/(2·frequency)` exactly when the gaps are uneven — the Bus
+    /// Stop Paradox of Section 2.1.
+    ///
+    /// ```
+    /// use bdisk_sched::{flat_program, skewed_program, PageId};
+    ///
+    /// // Figure 2(b), A A B C: page A's gaps are 1 and 3, so (1² + 3²)/(2·4).
+    /// assert_eq!(skewed_program(&[2, 1, 1]).unwrap().expected_delay(PageId(0)), 1.25);
+    /// // Flat A B C: every page waits 1.5 on average.
+    /// assert_eq!(flat_program(3).unwrap().expected_delay(PageId(0)), 1.5);
+    /// ```
+    pub fn expected_delay(&self, page: PageId) -> f64 {
+        let period = self.period() as f64;
+        self.gaps(page).iter().map(|g| g * g / (2.0 * period)).sum()
+    }
+
     /// All inter-arrival gaps of `page` within one period (including the
     /// wrap-around gap). Used by the analytic expected-delay model.
     pub fn gaps(&self, page: PageId) -> Vec<f64> {

@@ -332,7 +332,7 @@ mod tests {
         let layout = DiskLayout::with_delta(&[50, 150, 300], 3).unwrap();
         let program = BroadcastProgram::generate(&layout).unwrap();
         let zipf = RegionZipf::new(100, 5, 0.95);
-        let analytic = bdisk_analytic::expected_response_time(&program, zipf.probs());
+        let analytic = BroadcastPlan::single(program).expected_delay(zipf.probs());
         let out = simulate(&small_cfg(), &layout, 42).unwrap();
         let rel = (out.mean_response_time - analytic).abs() / analytic;
         assert!(

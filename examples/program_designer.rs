@@ -11,9 +11,8 @@
 //! cargo run --release --example program_designer
 //! ```
 
-use broadcast_disks::analytic::{expected_response_time, sqrt_rule_lower_bound};
 use broadcast_disks::prelude::*;
-use broadcast_disks::sched::{optimize_layout, OptimizerConfig};
+use broadcast_disks::sched::{optimize_layout, sqrt_rule_bound, OptimizerConfig};
 
 fn main() {
     // The paper's workload: 1000-page access range, region Zipf θ = 0.95,
@@ -40,16 +39,14 @@ fn main() {
         for delta in [2u64, 4] {
             let layout = DiskLayout::with_delta(sizes, delta).expect("valid");
             let program = BroadcastProgram::generate(&layout).expect("valid");
-            let delay = expected_response_time(&program, &probs);
-            println!(
-                "{name:>28} {delta:>8} {delay:>12.0} {:>8.2}%",
-                program.waste() * 100.0
-            );
+            let waste = program.waste() * 100.0;
+            let delay = BroadcastPlan::single(program).expected_delay(&probs);
+            println!("{name:>28} {delta:>8} {delay:>12.0} {waste:>8.2}%");
         }
     }
 
     // --- Theoretical floor ----------------------------------------------
-    let bound = sqrt_rule_lower_bound(&probs);
+    let bound = sqrt_rule_bound(&probs, 1).expect("valid weights");
     println!("\nsquare-root-rule lower bound (variance-free ideal): {bound:.0} bu");
 
     // --- Automated search -------------------------------------------------

@@ -23,13 +23,12 @@ fn main() {
     );
 
     // 2. Expected delay per disk, straight from the closed form.
-    let analysis = ProgramAnalysis::of(&program);
     println!("\nexpected delay by disk (no cache):");
-    for (disk, first_page) in [(0, 0usize), (1, 500), (2, 2500)] {
+    for (disk, first_page) in [(0, 0u32), (1, 500), (2, 2500)] {
         println!(
             "  disk {}: {:.0} broadcast units",
             disk + 1,
-            analysis.per_page_delay[first_page]
+            program.expected_delay(PageId(first_page))
         );
     }
 

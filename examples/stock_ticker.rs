@@ -52,10 +52,10 @@ fn main() {
 
     // --- 2. Compare against baselines ----------------------------------
     let flat = flat_program(SYMBOLS).expect("flat program");
-    let flat_delay = broadcast_disks::analytic::expected_response_time(&flat, &popularity);
+    let flat_delay = BroadcastPlan::single(flat).expected_delay(&popularity);
     let hand = DiskLayout::with_delta(&[200, 1800], 3).expect("hand layout");
     let hand_program = BroadcastProgram::generate(&hand).expect("hand program");
-    let hand_delay = broadcast_disks::analytic::expected_response_time(&hand_program, &popularity);
+    let hand_delay = BroadcastPlan::single(hand_program).expected_delay(&popularity);
 
     println!("\nexpected delay for the average listener:");
     println!("  flat broadcast:    {:>7.0} bu", flat_delay);

@@ -7,15 +7,16 @@
 //! This facade crate re-exports the public API of every subsystem:
 //!
 //! * [`sched`] — broadcast program generation (the multi-disk algorithm of
-//!   Section 2, flat/skewed/random baselines, schedule queries).
+//!   Section 2, flat/skewed/random baselines, schedule queries) and the
+//!   closed-form delay model (the Bus Stop Paradox, the square-root bound).
 //! * [`cache`] — client cache replacement policies (P, PIX, LRU, L, LIX).
 //! * [`workload`] — region-Zipf client access distributions and the
 //!   Offset/Noise logical-to-physical mappings of Section 4.2.
 //! * [`sim`] — the Section-4 simulation model (client/server processes,
 //!   steady-state metrics, parameter sweeps).
-//! * [`analytic`] — closed-form expected-delay models (Table 1, the Bus
-//!   Stop Paradox, bandwidth allocation).
-//! * [`desim`] — the discrete-event simulation kernel underneath it all.
+//! * [`desim`] — a discrete-event kernel and the statistics collectors
+//!   (running moments, histograms, batch means) the simulator measures
+//!   with; the simulator itself drives its client with a plain loop.
 //!
 //! ## Quickstart
 //!
@@ -43,7 +44,6 @@
 //! ```
 
 pub use bdesim as desim;
-pub use bdisk_analytic as analytic;
 pub use bdisk_cache as cache;
 pub use bdisk_sched as sched;
 pub use bdisk_sim as sim;
@@ -51,9 +51,8 @@ pub use bdisk_workload as workload;
 
 /// One-stop imports for application code and the examples.
 pub mod prelude {
-    pub use bdisk_analytic::{expected_delay, expected_response_time, ProgramAnalysis};
     pub use bdisk_cache::{CachePolicy, PolicyKind};
-    pub use bdisk_sched::{BroadcastProgram, DiskLayout, PageId, Slot};
+    pub use bdisk_sched::{BroadcastPlan, BroadcastProgram, DiskLayout, PageId, Slot};
     pub use bdisk_sim::{simulate, AccessLocation, SimConfig, SimOutcome};
     pub use bdisk_workload::{Mapping, RegionZipf};
 }

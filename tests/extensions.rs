@@ -87,7 +87,7 @@ fn air_index_tuning_time_is_tiny() {
     let mut probs = zipf.probs().to_vec();
     probs.resize(500, 0.0);
 
-    let always_on = expected_response_time(&program, &probs);
+    let always_on = BroadcastPlan::single(program.clone()).expected_delay(&probs);
     let ib = IndexedBroadcast::new(program, 8, 64).unwrap();
     let (access, tuning) = ib.expected_access_and_tuning(&probs);
     assert!(

@@ -1,7 +1,6 @@
 //! Integration tests asserting the paper's headline claims end to end,
 //! at reduced scale (seconds, not minutes).
 
-use broadcast_disks::analytic::{expected_response_time, table1};
 use broadcast_disks::prelude::*;
 use broadcast_disks::sched::{flat_program, random_program, skewed_program};
 use broadcast_disks::sim::average_seeds;
@@ -27,23 +26,6 @@ fn cfg(policy: PolicyKind, cache: usize, offset: usize, noise: f64) -> SimConfig
 }
 
 const SEEDS: [u64; 3] = [11, 22, 33];
-
-#[test]
-fn table1_reproduces_published_numbers() {
-    let rows = table1::table1();
-    let expected = [
-        (1.50, 1.75, 1.67),
-        (1.50, 1.63, 1.50),
-        (1.50, 1.44, 1.25),
-        (1.50, 1.33, 1.10),
-        (1.50, 1.25, 1.00),
-    ];
-    for (row, (f, s, m)) in rows.iter().zip(expected) {
-        assert!((row.flat - f).abs() < 0.005);
-        assert!((row.skewed - s).abs() < 0.005);
-        assert!((row.multi_disk - m).abs() < 0.005);
-    }
-}
 
 #[test]
 fn multi_disk_beats_flat_for_skewed_access_no_cache() {
@@ -171,7 +153,7 @@ fn simulator_agrees_with_analytic_model() {
         let layout = DiskLayout::with_delta(&d5(), delta).unwrap();
         let program = BroadcastProgram::generate(&layout).unwrap();
         let zipf = RegionZipf::new(100, 5, 0.95);
-        let analytic = expected_response_time(&program, zipf.probs());
+        let analytic = BroadcastPlan::single(program).expected_delay(zipf.probs());
         let sim = average_seeds(&cfg(PolicyKind::P, 1, 0, 0.0), &layout, &SEEDS).unwrap();
         let rel = (sim.mean_response_time - analytic).abs() / analytic;
         assert!(
@@ -188,9 +170,6 @@ fn flat_disk_uniform_delay_for_all_pages() {
     //  broadcast is the same for all items."
     let program = flat_program(200).unwrap();
     for p in (0..200).step_by(17) {
-        assert_eq!(
-            broadcast_disks::analytic::expected_delay(&program, PageId(p)),
-            100.0
-        );
+        assert_eq!(program.expected_delay(PageId(p)), 100.0);
     }
 }

@@ -2,6 +2,7 @@
 
 use broadcast_disks::cache::{build_policy, PolicyContext, PolicyKind};
 use broadcast_disks::prelude::*;
+use broadcast_disks::sched::{random_program, skewed_program};
 use broadcast_disks::workload::AliasTable;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -171,15 +172,35 @@ proptest! {
         }
     }
 
-    /// Expected delay of any program equals the gap-square formula and is
-    /// bounded by half the period.
+    /// Expected delay of any program — multi-disk, skewed or random — is
+    /// bounded by half the period, and from below by the even-spacing delay
+    /// `period/(2·frequency)`, with equality exactly when the page's gaps
+    /// are fixed (the Bus Stop Paradox).
     #[test]
-    fn expected_delay_bounds(layout in layout_strategy()) {
-        let program = BroadcastProgram::generate(&layout).unwrap();
-        for p in 0..layout.total_pages() {
-            let d = expected_delay(&program, PageId(p as u32));
+    fn expected_delay_bounds(
+        kind in 0u8..3,
+        layout in layout_strategy(),
+        copies in proptest::collection::vec(1u64..=4, 1..=24),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let program = match kind {
+            0 => BroadcastProgram::generate(&layout).unwrap(),
+            1 => skewed_program(&copies).unwrap(),
+            _ => random_program(&copies, &mut rng).unwrap(),
+        };
+        let period = program.period() as f64;
+        for p in 0..program.num_pages() as u32 {
+            let page = PageId(p);
+            let d = program.expected_delay(page);
             prop_assert!(d > 0.0);
-            prop_assert!(d <= program.period() as f64 / 2.0 + 1e-9);
+            prop_assert!(d <= period / 2.0 + 1e-9);
+            let even = period / (2.0 * program.frequency(page) as f64);
+            if program.gap(page).is_some() {
+                prop_assert!((d - even).abs() <= 1e-12 * even, "page {}: {} vs {}", p, d, even);
+            } else {
+                prop_assert!(d > even * (1.0 + 1e-12), "page {}: {} vs {}", p, d, even);
+            }
         }
     }
 }
