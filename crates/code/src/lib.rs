@@ -12,12 +12,12 @@
 //! server-side encoder and every client derive identical compositions with
 //! no side channel: that determinism contract is the whole design.
 //!
-//! Two codecs implement the selection behind the [`RepairCodec`] trait:
+//! The plan's [`CodecKind`] chooses the selection:
 //!
-//! * [`XorCodec`] — systematic parity: the symbol combines the *entire*
-//!   window, so any single loss inside the window is repaired by the next
-//!   covering symbol.
-//! * [`LtCodec`] — LT/fountain coding: the symbol combines a random
+//! * [`CodecKind::Xor`] — systematic parity: the symbol combines the
+//!   *entire* window, so any single loss inside the window is repaired by
+//!   the next covering symbol.
+//! * [`CodecKind::Lt`] — LT/fountain coding: the symbol combines a random
 //!   subset of the window, its degree drawn from a windowed soliton
 //!   profile (dense ~0.6·`group` checks plus a light soliton tail).
 //!   Individual symbols repair less, but overlapping symbols of mixed
@@ -39,28 +39,12 @@ mod window;
 
 pub use window::{DecodeWindow, Decoded};
 
-/// Chooses which offsets of a repair symbol's coverage window the symbol
-/// actually combines. Implementations must be pure functions of their
-/// arguments — the same `(window, channel, id, seed)` must select the same
-/// subset on the server and on every client, forever.
-pub trait RepairCodec {
-    /// Returns the selected period offsets, a non-empty subset of
-    /// `window`, preserving `window`'s order.
-    fn select(&self, window: &[u32], channel: u16, id: RepairId, seed: u64) -> Vec<u32>;
-}
-
-/// Systematic XOR parity: every symbol combines its whole window.
-pub struct XorCodec;
-
-impl RepairCodec for XorCodec {
-    fn select(&self, window: &[u32], _channel: u16, _id: RepairId, _seed: u64) -> Vec<u32> {
-        window.to_vec()
-    }
-}
-
-/// LT/fountain coding: the symbol's degree `d` is drawn from a windowed
+/// The entries of `window` that symbol `id` of `channel` combines, in
+/// window order: all of them under [`CodecKind::Xor`]. Under
+/// [`CodecKind::Lt`] the symbol's degree `d` is drawn from a windowed
 /// soliton profile over the window size, then `d` distinct window entries
-/// are picked — all draws seeded by `(seed, channel, id)`.
+/// are picked — all draws seeded by `(seed, channel, id)`, so the server
+/// and every client select the same subset, forever. `picks` is scratch.
 ///
 /// The profile is *not* the classic robust soliton. That distribution is
 /// tuned for the fountain regime — the receiver collects ~`k` symbols and
@@ -72,39 +56,35 @@ impl RepairCodec for XorCodec {
 /// parity is no substitute: interval XORs are prefix-sum constraints and
 /// go rank-deficient under multiple losses, which is exactly when coding
 /// is supposed to earn its airtime.
-pub struct LtCodec;
-
-impl RepairCodec for LtCodec {
-    fn select(&self, window: &[u32], channel: u16, id: RepairId, seed: u64) -> Vec<u32> {
-        let k = window.len();
-        if k <= 2 {
-            return window.to_vec();
-        }
-        let mut rng = SplitMix::new(mix64(
-            seed ^ 0x4c54_c0de // domain tag: LT composition
-                ^ ((channel as u64) << 32)
-                ^ id.0 as u64,
-        ));
-        let d = windowed_degree(k, rng.next_f64(), rng.next_f64());
-        // Partial Fisher-Yates: pick d distinct indices, then restore
-        // window order so compositions read most-recent-first.
-        let mut idx: Vec<usize> = (0..k).collect();
-        for i in 0..d {
-            let j = i + (rng.next_u64() as usize) % (k - i);
-            idx.swap(i, j);
-        }
-        let mut picked = idx[..d].to_vec();
-        picked.sort_unstable();
-        picked.into_iter().map(|i| window[i]).collect()
+fn compose(
+    codec: CodecKind,
+    window: &[(u32, PageId)],
+    channel: u16,
+    id: RepairId,
+    seed: u64,
+    picks: &mut Vec<usize>,
+) -> Vec<(u32, PageId)> {
+    let k = window.len();
+    if codec == CodecKind::Xor || k <= 2 {
+        return window.to_vec();
     }
-}
-
-/// The codec for `kind`, as a shared trait object.
-pub fn codec(kind: CodecKind) -> &'static dyn RepairCodec {
-    match kind {
-        CodecKind::Xor => &XorCodec,
-        CodecKind::Lt => &LtCodec,
+    let mut rng = SplitMix::new(mix64(
+        seed ^ 0x4c54_c0de // domain tag: LT composition
+            ^ ((channel as u64) << 32)
+            ^ id.0 as u64,
+    ));
+    let d = windowed_degree(k, rng.next_f64(), rng.next_f64());
+    // Partial Fisher-Yates: pick d distinct indices, then restore window
+    // order so compositions read most-recent-first.
+    picks.clear();
+    picks.extend(0..k);
+    for i in 0..d {
+        let j = i + (rng.next_u64() as usize) % (k - i);
+        picks.swap(i, j);
     }
+    let picked = &mut picks[..d];
+    picked.sort_unstable();
+    picked.iter().map(|&i| window[i]).collect()
 }
 
 /// Light-tail mass of the windowed profile: the fraction of symbols drawn
@@ -162,26 +142,20 @@ impl ChannelCode {
     /// Compiles `program`'s repair slots under `cfg`. `channel` seeds the
     /// LT codec so different channels get independent compositions.
     pub fn build(program: &BroadcastProgram, channel: u16, cfg: &CodingConfig) -> Self {
-        let sel = codec(cfg.codec);
+        let mut walker = program.coverage_walker();
+        let mut window = Vec::with_capacity(cfg.group);
+        let mut picks = Vec::with_capacity(cfg.group);
         let mut symbols = Vec::with_capacity(program.repair_slots());
         for (off, slot) in program.slots().iter().enumerate() {
             if let Slot::Repair(id) = *slot {
                 // The scheduler assigns ids in offset order; the encoder
                 // and decoder index this table by id, so verify it.
                 debug_assert_eq!(id.index(), symbols.len(), "repair ids out of order");
-                let window = program.coverage_window(off as u32, cfg.group);
-                let covers = sel
-                    .select(&window, channel, id, cfg.seed)
-                    .into_iter()
-                    .map(|o| match program.slot_at(o as u64) {
-                        Slot::Page(p) => (o, p),
-                        other => unreachable!("window offset {o} holds {other:?}"),
-                    })
-                    .collect();
+                walker.window(off as u32, cfg.group, &mut window);
                 symbols.push(SymbolSpec {
                     offset: off as u32,
                     id,
-                    covers,
+                    covers: compose(cfg.codec, &window, channel, id, cfg.seed, &mut picks),
                 });
             }
         }
@@ -275,6 +249,7 @@ impl SplitMix {
 mod tests {
     use super::*;
     use bdisk_sched::{BroadcastPlan, DiskLayout};
+    use proptest::prelude::*;
 
     fn coded_plan(rate: f64, group: usize, codec: CodecKind) -> BroadcastPlan {
         let layout = DiskLayout::with_delta(&[6, 18, 24], 3).unwrap();
@@ -288,6 +263,105 @@ mod tests {
             .unwrap()
             .with_coding(cfg)
             .unwrap()
+    }
+
+    /// The window rule and codec selection `ChannelCode::build` compiled
+    /// before it walked a once-built list of coded slots: one backward
+    /// walk over the period per repair slot, deduplicated by search, then
+    /// the codec's draw over that window. Kept as the oracle.
+    fn oracle_build(
+        program: &BroadcastProgram,
+        channel: u16,
+        cfg: &CodingConfig,
+    ) -> Vec<SymbolSpec> {
+        let period = program.period() as u32;
+        let slots = program.slots();
+        let airings = slots.iter().filter(|s| matches!(s, Slot::Page(_))).count();
+        let hot_only = airings > program.num_pages();
+        let mut symbols = Vec::new();
+        for (off, slot) in slots.iter().enumerate() {
+            let Slot::Repair(id) = *slot else { continue };
+            let mut pages: Vec<PageId> = Vec::new();
+            let mut window: Vec<u32> = Vec::new();
+            for d in 1..period {
+                let o = (off as u32 + period - d) % period;
+                if let Slot::Page(p) = slots[o as usize] {
+                    if hot_only && program.frequency(p) < 2 {
+                        continue;
+                    }
+                    if !pages.contains(&p) {
+                        pages.push(p);
+                        window.push(o);
+                        if window.len() == cfg.group {
+                            break;
+                        }
+                    }
+                }
+            }
+            let k = window.len();
+            let picked: Vec<u32> = if cfg.codec == CodecKind::Xor || k <= 2 {
+                window
+            } else {
+                let mut rng = SplitMix::new(mix64(
+                    cfg.seed ^ 0x4c54_c0de ^ ((channel as u64) << 32) ^ id.0 as u64,
+                ));
+                let d = windowed_degree(k, rng.next_f64(), rng.next_f64());
+                let mut idx: Vec<usize> = (0..k).collect();
+                for i in 0..d {
+                    let j = i + (rng.next_u64() as usize) % (k - i);
+                    idx.swap(i, j);
+                }
+                let mut picked = idx[..d].to_vec();
+                picked.sort_unstable();
+                picked.into_iter().map(|i| window[i]).collect()
+            };
+            let covers = picked
+                .into_iter()
+                .map(|o| match slots[o as usize] {
+                    Slot::Page(p) => (o, p),
+                    other => unreachable!("window offset {o} holds {other:?}"),
+                })
+                .collect();
+            symbols.push(SymbolSpec {
+                offset: off as u32,
+                id,
+                covers,
+            });
+        }
+        symbols
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every composition `ChannelCode::build` compiles equals the
+        /// oracle's, on every channel of random coded plans.
+        #[test]
+        fn build_equals_the_window_walk_oracle(
+            sizes in prop::collection::vec(1usize..=60, 1..=4),
+            delta in 0u64..=4,
+            channels in 1usize..=4,
+            rate in 0.01f64..0.5,
+            group in 1usize..=32,
+            lt in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let layout = DiskLayout::with_delta(&sizes, delta).unwrap();
+            let cfg = CodingConfig {
+                rate,
+                group,
+                codec: if lt { CodecKind::Lt } else { CodecKind::Xor },
+                seed,
+            };
+            let plan = BroadcastPlan::generate(&layout, channels).and_then(|p| p.with_coding(cfg));
+            prop_assume!(plan.is_ok());
+            let plan = plan.unwrap();
+            for c in 0..plan.num_channels() {
+                let prog = plan.program(bdisk_sched::ChannelId(c as u16));
+                let code = ChannelCode::build(prog, c as u16, &cfg);
+                prop_assert_eq!(code.symbols(), &oracle_build(prog, c as u16, &cfg)[..]);
+            }
+        }
     }
 
     #[test]

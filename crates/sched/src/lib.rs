@@ -49,7 +49,7 @@ pub use generate::{flat_program, random_program, skewed_program};
 pub use index::IndexedBroadcast;
 pub use optimizer::{optimize_layout, sqrt_rule_bound, OptimizedLayout, OptimizerConfig};
 pub use plan::{BroadcastPlan, ChannelId, ChannelStats, CodecKind, CodingConfig};
-pub use program::{BroadcastProgram, PageId, RepairId, Slot};
+pub use program::{BroadcastProgram, CoverageWalker, PageId, RepairId, Slot};
 
 /// Least common multiple of two positive integers.
 pub(crate) fn lcm(a: u64, b: u64) -> u64 {

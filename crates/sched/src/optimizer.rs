@@ -54,12 +54,18 @@
 //!   when `bound·(1 − 1e-9) > incumbent·(1 + 1e-9)`. Every value compared is
 //!   a sum of non-negative terms, so rounding moves it by far less than
 //!   1e-9 relative: no leaf that could tie the incumbent is ever cut.
-//! * **Screen.** Per-channel sums over the fixed disks are carried down the
-//!   tree, so a leaf's delay costs O(C) instead of an LCM fold and three
-//!   allocations. Only a leaf whose screen is within the margin of the
-//!   incumbent reaches the exact evaluator, which alone decides. A leaf with
-//!   a disk narrower than `C` (the disk misses a channel, which changes
-//!   that channel's LCM) skips the screen and goes straight to it.
+//! * **Table.** Each channel-count pass tabulates, for every pair of
+//!   candidate positions and every channel, the page count and mass that a
+//!   disk spanning them stripes onto that channel. A node adds one cell per
+//!   channel to its parent's sums: no division, no allocation.
+//! * **Leaves.** Every leaf is first held to the bound with nothing left
+//!   unplaced, which holds for every leaf. A survivor whose disks all reach
+//!   every channel then gets the screen, its delay with each channel's
+//!   period taken as `max_chunks · Σ ⌈count/num_chunks⌉`: the exact value
+//!   up to rounding. A leaf with a disk narrower than `C` (the disk misses
+//!   a channel, which changes that channel's LCM) cannot be screened; the
+//!   bound alone filters it. Only a leaf within the margin of the incumbent
+//!   reaches the exact evaluator, which alone decides.
 //! * **Order and ties.** Channel counts are visited from the most down,
 //!   since more channels give the smallest delays and so an early strong
 //!   incumbent. Within a count, leaves come in exhaustive order (K↑, Δ↑,
@@ -121,47 +127,109 @@ fn beaten(lower: f64, incumbent: f64) -> bool {
     lower * (1.0 - MARGIN) > incumbent * (1.0 + MARGIN)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Nodes visited and exact evaluations made on this thread: the work
+    /// the tests pin.
+    static WORK: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+#[cfg(test)]
+fn tally(nodes: u64, exact: u64) {
+    WORK.with(|w| {
+        let (n, e) = w.get();
+        w.set((n + nodes, e + exact));
+    });
+}
+
+/// The pages one disk stripes onto one channel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    /// How many pages.
+    count: usize,
+    /// Their probability mass.
+    mass: f64,
+}
+
+/// One channel count's table of every disk the search can place. A disk
+/// starts and ends at two of the positions, so a node's per-channel sums
+/// cost one table read each and no division.
+struct Segments {
+    /// The page positions a disk may start or end at: 0, the candidate
+    /// boundaries, and the page count, strictly increasing. The search
+    /// works in indices into this list.
+    positions: Vec<usize>,
+    channels: usize,
+    /// `cells[(lo·P + hi)·channels + c]`, `P = positions.len()`: what a
+    /// disk spanning `positions[lo]..positions[hi]` puts on channel `c`
+    /// (in-disk offsets `≡ c (mod channels)`).
+    cells: Vec<Cell>,
+}
+
+impl Segments {
+    fn new(probs: &[f64], candidates: &[usize], channels: usize) -> Self {
+        let n = probs.len();
+        let positions: Vec<usize> = std::iter::once(0)
+            .chain(candidates.iter().copied())
+            .chain(std::iter::once(n))
+            .collect();
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        // `strided[i·channels + r]` = mass of the pages p < positions[i]
+        // with p ≡ r (mod channels), summed in page order.
+        let mut strided = Vec::with_capacity(positions.len() * channels);
+        let mut sums = vec![0.0; channels];
+        let (mut x, mut r) = (0, 0);
+        for &to in &positions {
+            for &p in &probs[x..to] {
+                sums[r] += p;
+                r = if r + 1 == channels { 0 } else { r + 1 };
+            }
+            x = to;
+            strided.extend_from_slice(&sums);
+        }
+        let np = positions.len();
+        let mut cells = vec![Cell::default(); np * np * channels];
+        for (i, &lo) in positions.iter().enumerate() {
+            for (j, &hi) in positions.iter().enumerate().skip(i + 1) {
+                for c in 0..channels.min(hi - lo) {
+                    let r = (lo + c) % channels;
+                    cells[(i * np + j) * channels + c] = Cell {
+                        count: (hi - lo - c).div_ceil(channels),
+                        mass: strided[j * channels + r] - strided[i * channels + r],
+                    };
+                }
+            }
+        }
+        Self {
+            positions,
+            channels,
+            cells,
+        }
+    }
+
+    /// One cell per channel for a disk spanning positions `lo..hi`.
+    fn cells(&self, lo: usize, hi: usize) -> &[Cell] {
+        let at = (lo * self.positions.len() + hi) * self.channels;
+        &self.cells[at..at + self.channels]
+    }
+}
+
 /// Immutable inputs of one (channel count, disk count, Δ) search slice.
 struct SearchCtx<'a> {
-    candidates: &'a [usize],
-    /// Plain prefix sums of probability mass (`prefix[x]` = mass of pages
-    /// `0..x`).
-    prefix: &'a [f64],
-    /// For `channels > 1`: per-residue strided prefix sums —
-    /// `stripes[r][x]` = mass of pages `p < x` with `p ≡ r (mod channels)`.
-    stripes: Option<&'a [Vec<f64>]>,
+    segments: &'a Segments,
     /// `root_tail[x]` = Σ √(p/2) over pages `x..n`: the bound's share of
     /// the pages not yet placed.
     root_tail: &'a [f64],
-    channels: usize,
     freqs: &'a [u64],
-    /// Chunk counts per disk (`max_chunks / freq`), for the single-channel
-    /// evaluator and the leaf screen.
+    /// Chunk counts per disk (`max_chunks / freq`), for the leaf screen.
     num_chunks: &'a [u64],
     max_chunks: u64,
     delta: u64,
 }
 
-impl SearchCtx<'_> {
-    /// Mass of the pages of a disk spanning `lo..hi` that land on channel
-    /// `c` (in-disk offsets `≡ c (mod channels)`).
-    fn channel_mass(&self, lo: usize, hi: usize, c: usize) -> f64 {
-        match self.stripes {
-            None => self.prefix[hi] - self.prefix[lo],
-            Some(stripes) => {
-                let r = (lo + c) % self.channels;
-                stripes[r][hi] - stripes[r][lo]
-            }
-        }
-    }
-}
-
 /// One channel's sums over the disks fixed so far.
 #[derive(Debug, Clone, Copy, Default)]
 struct Partial {
-    /// Σ ⌈count/num_chunks⌉: the channel's minor-cycle length, valid while
-    /// every fixed disk reaches every channel.
-    minor: usize,
     /// `A_c` = Σ count·f: airings per period, a floor on the period.
     airings: f64,
     /// `W_c` = Σ mass/(2f): expected delay per slot of period.
@@ -169,18 +237,13 @@ struct Partial {
 }
 
 impl Partial {
-    /// These sums plus the pages that disk `disk`, spanning `lo..hi`,
-    /// stripes onto channel `c`.
-    fn plus(mut self, ctx: &SearchCtx<'_>, disk: usize, lo: usize, hi: usize, c: usize) -> Self {
-        let size = hi - lo;
-        if size > c {
-            let f = ctx.freqs[disk];
-            let count = (size - c).div_ceil(ctx.channels);
-            self.minor += count.div_ceil(ctx.num_chunks[disk] as usize);
-            self.airings += (count as u64 * f) as f64;
-            self.weight += ctx.channel_mass(lo, hi, c) / (2.0 * f as f64);
+    /// These sums plus the pages `cell` of a disk at frequency `f`, where
+    /// `half_inv` = 1/(2f).
+    fn plus(self, cell: Cell, f: f64, half_inv: f64) -> Self {
+        Self {
+            airings: self.airings + cell.count as f64 * f,
+            weight: self.weight + cell.mass * half_inv,
         }
-        self
     }
 }
 
@@ -223,23 +286,20 @@ pub fn optimize_layout(
     }
     check_inputs(probs, cfg.max_channels)?;
     let n = probs.len();
-    let prefix = prefix_sums(probs);
     let root_tail = root_tail(probs);
     let candidates = boundary_candidates(n, cfg.max_candidates);
 
-    let mut best = flat_layout(&prefix)?;
+    let mut best = flat_layout(probs)?;
     for channels in (1..=cfg.max_channels.min(n)).rev() {
         let root = vec![Partial::default(); channels];
         if beaten(bound(&root, root_tail[0]), best.expected_delay) {
             continue;
         }
-        let stripes = (channels > 1).then(|| stripe_tables(probs, channels));
+        let segments = Segments::new(probs, &candidates, channels);
+        let last = segments.positions.len() - 1;
         let flat = SearchCtx {
-            candidates: &candidates,
-            prefix: &prefix,
-            stripes: stripes.as_deref(),
+            segments: &segments,
             root_tail: &root_tail,
-            channels,
             freqs: &[1],
             num_chunks: &[1],
             max_chunks: 1,
@@ -247,7 +307,7 @@ pub fn optimize_layout(
         };
         if channels > 1 {
             // Flat layout striped across the channels (K = 1).
-            offer(&flat, &[0, n], &mut best);
+            offer(&flat, &[0, last], &mut best);
         }
 
         for k in 2..=cfg.max_disks.min(n) {
@@ -261,9 +321,9 @@ pub fn optimize_layout(
                     ..flat
                 };
                 let mut bounds = vec![0usize; k + 1];
-                bounds[k] = n;
-                let mut sums = vec![Partial::default(); (k - 1) * channels];
-                descend(&ctx, &mut bounds, 1, 0, &root, &mut sums, &mut best);
+                bounds[k] = last;
+                let mut sums = vec![Partial::default(); k * channels];
+                descend(&ctx, &mut bounds, 1, &root, &mut sums, &mut best);
             }
         }
     }
@@ -292,16 +352,6 @@ fn check_inputs(probs: &[f64], channels: usize) -> Result<(), SchedError> {
     }
 }
 
-/// Prefix sums of probability mass for O(1) range mass.
-fn prefix_sums(probs: &[f64]) -> Vec<f64> {
-    let mut prefix = Vec::with_capacity(probs.len() + 1);
-    prefix.push(0.0);
-    for &p in probs {
-        prefix.push(prefix.last().unwrap() + p);
-    }
-    prefix
-}
-
 /// `root_tail[x]` = Σ √(p/2) over pages `x..n`, summed from the cold end.
 fn root_tail(probs: &[f64]) -> Vec<f64> {
     let mut tail = vec![0.0; probs.len() + 1];
@@ -309,19 +359,6 @@ fn root_tail(probs: &[f64]) -> Vec<f64> {
         tail[x] = tail[x + 1] + (probs[x] / 2.0).sqrt();
     }
     tail
-}
-
-/// Strided prefix sums for `c` channels: `tables[r][x]` = mass of pages
-/// `p < x` with `p ≡ r (mod c)`.
-fn stripe_tables(probs: &[f64], c: usize) -> Vec<Vec<f64>> {
-    let n = probs.len();
-    let mut tables = vec![vec![0.0; n + 1]; c];
-    for (r, table) in tables.iter_mut().enumerate() {
-        for x in 0..n {
-            table[x + 1] = table[x] + if x % c == r { probs[x] } else { 0.0 };
-        }
-    }
-    tables
 }
 
 /// Candidate boundaries (positions where one disk may end), excluding 0
@@ -351,65 +388,94 @@ fn delta_freqs(k: usize, delta: u64) -> (Vec<u64>, Vec<u64>, u64) {
 
 /// The flat single-channel program (K = 1, C = 1): the first configuration
 /// of the search order and the starting incumbent.
-fn flat_layout(prefix: &[f64]) -> Result<OptimizedLayout, SchedError> {
-    let n = prefix.len() - 1;
+fn flat_layout(probs: &[f64]) -> Result<OptimizedLayout, SchedError> {
+    let n = probs.len();
     Ok(OptimizedLayout {
         layout: DiskLayout::new(vec![n], vec![1])?,
         delta: 0,
         channels: 1,
-        expected_delay: prefix[n] * n as f64 / 2.0,
+        expected_delay: probs.iter().fold(0.0, |sum, &p| sum + p) * n as f64 / 2.0,
     })
 }
 
-/// Chooses `bounds[level]`, the end of disk `level − 1`, from the
-/// candidates at index `first` or later, in lexicographic order. `fixed`
-/// holds the per-channel sums over disks `0..level − 1`; `scratch` holds
-/// one such row per deeper level.
+/// A disk's frequency as `f64` and `1/(2f)`, the factors of its
+/// [`Partial::plus`].
+fn rates(ctx: &SearchCtx<'_>, disk: usize) -> (f64, f64) {
+    let f = ctx.freqs[disk] as f64;
+    (f, 0.5 / f)
+}
+
+/// Chooses `bounds[level]`, the end of disk `level − 1`, as a position
+/// index after `bounds[level − 1]`, in increasing order. `fixed` holds the
+/// per-channel sums over disks `0..level − 1`; `scratch` holds one such
+/// row per deeper level, and one for the leaf.
 fn descend(
     ctx: &SearchCtx<'_>,
     bounds: &mut [usize],
     level: usize,
-    first: usize,
     fixed: &[Partial],
     scratch: &mut [Partial],
     best: &mut OptimizedLayout,
 ) {
+    let seg = ctx.segments;
+    let pos = &seg.positions;
     let k = ctx.freqs.len();
-    let chans = ctx.channels;
-    let (lo, n) = (bounds[level - 1], bounds[k]);
-    let narrow_above = bounds[..level].windows(2).any(|w| w[1] - w[0] < chans);
+    let chans = seg.channels;
+    let (lo, end) = (bounds[level - 1], bounds[k]);
+    let (f, half_inv) = rates(ctx, level - 1);
+    let (f_last, half_inv_last) = rates(ctx, k - 1);
+    let narrow_above = bounds[..level]
+        .windows(2)
+        .any(|w| pos[w[1]] - pos[w[0]] < chans);
     let (sums, deeper) = scratch.split_at_mut(chans);
-    for (ci, &b) in ctx.candidates.iter().enumerate().skip(first) {
-        if b <= lo {
-            continue;
-        }
-        if b >= n {
-            break;
-        }
+    for b in lo + 1..end {
         bounds[level] = b;
-        for (c, s) in sums.iter_mut().enumerate() {
-            *s = fixed[c].plus(ctx, level - 1, lo, b, c);
+        #[cfg(test)]
+        tally(1, 0);
+        for ((s, &p), &cell) in sums.iter_mut().zip(fixed).zip(seg.cells(lo, b)) {
+            *s = p.plus(cell, f, half_inv);
         }
         if level + 1 < k {
-            if !beaten(bound(sums, ctx.root_tail[b]), best.expected_delay) {
-                descend(ctx, bounds, level + 1, ci + 1, sums, deeper, best);
+            if !beaten(bound(sums, ctx.root_tail[pos[b]]), best.expected_delay) {
+                descend(ctx, bounds, level + 1, sums, deeper, best);
             }
-        } else if narrow_above || b - lo < chans || n - b < chans {
+            continue;
+        }
+        // A leaf: the last disk spans b..end. Its bound is cheap and
+        // holds for every leaf, narrow or not.
+        let leaf = &mut deeper[..chans];
+        for ((l, &s), &cell) in leaf.iter_mut().zip(&*sums).zip(seg.cells(b, end)) {
+            *l = s.plus(cell, f_last, half_inv_last);
+        }
+        if beaten(bound(leaf, 0.0), best.expected_delay) {
+            continue;
+        }
+        let narrow = narrow_above || pos[b] - pos[lo] < chans || pos[end] - pos[b] < chans;
+        if narrow || !beaten(screen(ctx, bounds, leaf), best.expected_delay) {
             offer(ctx, bounds, best);
-        } else {
-            // The last disk spans b..n; every disk reaches every channel,
-            // so each channel's period is max_chunks · minor.
-            let screen: f64 = (0..chans)
-                .map(|c| {
-                    let s = sums[c].plus(ctx, k - 1, b, n, c);
-                    (ctx.max_chunks as usize * s.minor) as f64 * s.weight
-                })
-                .sum();
-            if !beaten(screen, best.expected_delay) {
-                offer(ctx, bounds, best);
-            }
         }
     }
+}
+
+/// A leaf's delay when every disk reaches every channel, so that each
+/// channel's period is `max_chunks · Σ ⌈count/num_chunks⌉`: the exact
+/// evaluator's value up to rounding. `leaf` holds the leaf's sums.
+fn screen(ctx: &SearchCtx<'_>, bounds: &[usize], leaf: &[Partial]) -> f64 {
+    leaf.iter()
+        .enumerate()
+        .map(|(c, s)| {
+            let minor: usize = bounds
+                .windows(2)
+                .zip(ctx.num_chunks)
+                .map(|(w, &chunks)| {
+                    ctx.segments.cells(w[0], w[1])[c]
+                        .count
+                        .div_ceil(chunks as usize)
+                })
+                .sum();
+            (ctx.max_chunks as usize * minor) as f64 * s.weight
+        })
+        .sum()
 }
 
 /// Evaluates one configuration exactly and makes it the incumbent when it
@@ -420,112 +486,51 @@ fn offer(ctx: &SearchCtx<'_>, bounds: &[usize], best: &mut OptimizedLayout) {
     let Some(delay) = exact_delay(ctx, bounds) else {
         return;
     };
-    if delay < best.expected_delay || (delay == best.expected_delay && ctx.channels < best.channels)
+    if delay < best.expected_delay
+        || (delay == best.expected_delay && ctx.segments.channels < best.channels)
     {
-        let sizes = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let pos = &ctx.segments.positions;
+        let sizes = bounds.windows(2).map(|w| pos[w[1]] - pos[w[0]]).collect();
         if let Ok(layout) = DiskLayout::new(sizes, ctx.freqs.to_vec()) {
             *best = OptimizedLayout {
                 layout,
                 delta: ctx.delta,
-                channels: ctx.channels,
+                channels: ctx.segments.channels,
                 expected_delay: delay,
             };
         }
     }
 }
 
-/// The exact analytic delay of one configuration, or `None` when a disk or
-/// a channel would be empty.
-fn exact_delay(ctx: &SearchCtx<'_>, bounds: &[usize]) -> Option<f64> {
-    if ctx.channels == 1 {
-        evaluate(
-            ctx.prefix,
-            ctx.freqs,
-            ctx.num_chunks,
-            ctx.max_chunks,
-            bounds,
-        )
-    } else {
-        evaluate_channels(ctx, bounds)
-    }
-}
-
-/// Analytic expected delay of a fully specified single-channel
-/// configuration, or `None` when a disk would be empty.
-fn evaluate(
-    prefix: &[f64],
-    freqs: &[u64],
-    num_chunks: &[u64],
-    max_chunks: u64,
-    bounds: &[usize],
-) -> Option<f64> {
-    let k = freqs.len();
-    // Period from padded chunk sizes, exactly as the generator computes it.
-    let mut minor_len = 0usize;
-    for i in 0..k {
-        let size = bounds[i + 1] - bounds[i];
-        if size == 0 {
-            return None;
-        }
-        minor_len += size.div_ceil(num_chunks[i] as usize);
-    }
-    let period = max_chunks as usize * minor_len;
-
-    let mut delay = 0.0;
-    for i in 0..k {
-        let mass = prefix[bounds[i + 1]] - prefix[bounds[i]];
-        delay += mass * period as f64 / (2.0 * freqs[i] as f64);
-    }
-    Some(delay)
-}
-
-/// Analytic expected delay of a configuration striped across
-/// `ctx.channels` channels, exactly mirroring
+/// The exact analytic delay of a configuration (disk `i` spans positions
+/// `bounds[i]..bounds[i + 1]`), exactly mirroring
 /// [`crate::BroadcastPlan::generate`]: channel `c` receives in-disk offsets
 /// `≡ c (mod channels)` of every disk, disks that contribute no pages drop
 /// out, and the channel's period comes from the LCM of the *remaining*
-/// frequencies. `None` when a disk or a channel would be empty.
-fn evaluate_channels(ctx: &SearchCtx<'_>, bounds: &[usize]) -> Option<f64> {
-    let k = ctx.freqs.len();
-    let chans = ctx.channels;
-    let stripes = ctx.stripes.expect("stripes precomputed for channels > 1");
-    for i in 0..k {
-        if bounds[i + 1] == bounds[i] {
-            return None;
-        }
-    }
-
+/// frequencies. `None` when a channel would be empty.
+fn exact_delay(ctx: &SearchCtx<'_>, bounds: &[usize]) -> Option<f64> {
+    #[cfg(test)]
+    tally(0, 1);
+    let seg = ctx.segments;
     let mut delay = 0.0;
-    let mut ch_freqs: Vec<u64> = Vec::with_capacity(k);
-    let mut ch_counts: Vec<usize> = Vec::with_capacity(k);
-    let mut ch_masses: Vec<f64> = Vec::with_capacity(k);
-    for c in 0..chans {
-        ch_freqs.clear();
-        ch_counts.clear();
-        ch_masses.clear();
-        for i in 0..k {
-            let size = bounds[i + 1] - bounds[i];
-            if size <= c {
-                continue; // disk too small to reach this channel
-            }
-            let count = (size - c).div_ceil(chans);
-            let r = (bounds[i] + c) % chans;
-            let mass = stripes[r][bounds[i + 1]] - stripes[r][bounds[i]];
-            ch_freqs.push(ctx.freqs[i]);
-            ch_counts.push(count);
-            ch_masses.push(mass);
-        }
-        if ch_freqs.is_empty() {
-            return None; // empty channel: plan generation would reject it
-        }
-        let max_chunks = ch_freqs.iter().copied().fold(1u64, lcm);
-        let mut minor_len = 0usize;
-        for (j, &f) in ch_freqs.iter().enumerate() {
-            minor_len += ch_counts[j].div_ceil((max_chunks / f) as usize);
-        }
+    for c in 0..seg.channels {
+        // The disks that reach channel c, with their frequencies.
+        let disks = || {
+            bounds
+                .windows(2)
+                .zip(ctx.freqs)
+                .map(move |(w, &f)| (seg.cells(w[0], w[1])[c], f))
+                .filter(|(cell, _)| cell.count > 0)
+        };
+        // An empty channel: plan generation would reject it.
+        disks().next()?;
+        let max_chunks = disks().fold(1u64, |l, (_, f)| lcm(l, f));
+        let minor_len: usize = disks()
+            .map(|(cell, f)| cell.count.div_ceil((max_chunks / f) as usize))
+            .sum();
         let period = max_chunks as usize * minor_len;
-        for (j, &f) in ch_freqs.iter().enumerate() {
-            delay += ch_masses[j] * period as f64 / (2.0 * f as f64);
+        for (cell, f) in disks() {
+            delay += cell.mass * period as f64 / (2.0 * f as f64);
         }
     }
     Some(delay)
@@ -550,24 +555,21 @@ mod tests {
     /// order, evaluated exactly, the first strict improvement winning.
     fn exhaustive(probs: &[f64], cfg: &OptimizerConfig) -> OptimizedLayout {
         let n = probs.len();
-        let prefix = prefix_sums(probs);
         let candidates = boundary_candidates(n, cfg.max_candidates);
-        let mut best = flat_layout(&prefix).unwrap();
+        let mut best = flat_layout(probs).unwrap();
         for channels in 1..=cfg.max_channels.min(n) {
-            let stripes = (channels > 1).then(|| stripe_tables(probs, channels));
+            let segments = Segments::new(probs, &candidates, channels);
+            let last = segments.positions.len() - 1;
             let flat = SearchCtx {
-                candidates: &candidates,
-                prefix: &prefix,
-                stripes: stripes.as_deref(),
+                segments: &segments,
                 root_tail: &[],
-                channels,
                 freqs: &[1],
                 num_chunks: &[1],
                 max_chunks: 1,
                 delta: 0,
             };
             if channels > 1 {
-                consider(&flat, &[0, n], &mut best);
+                consider(&flat, &[0, last], &mut best);
             }
             for k in 2..=cfg.max_disks.min(n) {
                 for delta in 1..=cfg.max_delta {
@@ -580,39 +582,26 @@ mod tests {
                         ..flat
                     };
                     let mut bounds = vec![0usize; k + 1];
-                    bounds[k] = n;
-                    search_boundaries(&ctx, &mut bounds, 1, 0, &mut |b| {
-                        consider(&ctx, b, &mut best)
-                    });
+                    bounds[k] = last;
+                    search_boundaries(&mut bounds, 1, &mut |b| consider(&ctx, b, &mut best));
                 }
             }
         }
         best
     }
 
-    /// Visits every choice of `bounds[level..k]` from the candidate set in
+    /// Visits every choice of the position indices `bounds[level..k]`
+    /// between `bounds[0]` and `bounds[k]`, strictly increasing, in
     /// lexicographic order.
-    fn search_boundaries(
-        ctx: &SearchCtx<'_>,
-        bounds: &mut Vec<usize>,
-        level: usize,
-        min_candidate_idx: usize,
-        visit: &mut impl FnMut(&[usize]),
-    ) {
-        let k = ctx.freqs.len();
+    fn search_boundaries(bounds: &mut [usize], level: usize, visit: &mut impl FnMut(&[usize])) {
+        let k = bounds.len() - 1;
         if level == k {
             visit(bounds);
             return;
         }
-        for (ci, &c) in ctx.candidates.iter().enumerate().skip(min_candidate_idx) {
-            if c <= bounds[level - 1] {
-                continue;
-            }
-            if c >= bounds[k] {
-                break;
-            }
-            bounds[level] = c;
-            search_boundaries(ctx, bounds, level + 1, ci + 1, visit);
+        for b in bounds[level - 1] + 1..bounds[k] {
+            bounds[level] = b;
+            search_boundaries(bounds, level + 1, visit);
         }
     }
 
@@ -620,13 +609,13 @@ mod tests {
     fn consider(ctx: &SearchCtx<'_>, bounds: &[usize], best: &mut OptimizedLayout) {
         if let Some(delay) = exact_delay(ctx, bounds) {
             if delay < best.expected_delay {
-                let k = ctx.freqs.len();
-                let sizes: Vec<usize> = (0..k).map(|i| bounds[i + 1] - bounds[i]).collect();
+                let pos = &ctx.segments.positions;
+                let sizes: Vec<usize> = bounds.windows(2).map(|w| pos[w[1]] - pos[w[0]]).collect();
                 if let Ok(layout) = DiskLayout::new(sizes, ctx.freqs.to_vec()) {
                     *best = OptimizedLayout {
                         layout,
                         delta: ctx.delta,
-                        channels: ctx.channels,
+                        channels: ctx.segments.channels,
                         expected_delay: delay,
                     };
                 }
@@ -1002,6 +991,9 @@ mod tests {
 
     /// The bounded search equals the oracle on two 5000-page catalogs
     /// shaped like the ledger's `replan` workload, at its configuration.
+    /// The node counts are pinned: bounding leaves must not change which
+    /// nodes the search visits. At most 300 leaves per call may reach the
+    /// exact evaluator.
     #[test]
     fn replan_scale_catalogs_equal_exhaustive() {
         let cfg = OptimizerConfig {
@@ -1010,9 +1002,13 @@ mod tests {
             max_candidates: 48,
             max_channels: 4,
         };
-        for (theta, seed) in [(0.5, 1), (1.3, 2)] {
+        for (theta, seed, nodes) in [(0.5, 1, 43_866), (1.3, 2, 10_235)] {
             let probs = wobbled_zipf(5000, theta, seed);
+            WORK.with(|w| w.set((0, 0)));
             let best = optimize_layout(&probs, &cfg).unwrap();
+            let (visited, exact) = WORK.with(|w| w.get());
+            assert_eq!(visited, nodes, "θ = {theta}: nodes visited");
+            assert!(exact <= 300, "θ = {theta}: {exact} exact evaluations");
             assert_eq!(key(&best), key(&exhaustive(&probs, &cfg)), "θ = {theta}");
         }
     }
@@ -1049,35 +1045,32 @@ mod tests {
             channels in 1usize..=4,
         ) {
             let n = probs.len();
-            let prefix = prefix_sums(&probs);
             let tail = root_tail(&probs);
             let candidates = boundary_candidates(n, max_candidates);
-            let stripes = (channels > 1).then(|| stripe_tables(&probs, channels));
+            let segments = Segments::new(&probs, &candidates, channels);
             let (freqs, num_chunks, max_chunks) = delta_freqs(k, delta);
             let ctx = SearchCtx {
-                candidates: &candidates,
-                prefix: &prefix,
-                stripes: stripes.as_deref(),
+                segments: &segments,
                 root_tail: &tail,
-                channels,
                 freqs: &freqs,
                 num_chunks: &num_chunks,
                 max_chunks,
                 delta,
             };
             let mut bounds = vec![0usize; k + 1];
-            bounds[k] = n;
+            bounds[k] = segments.positions.len() - 1;
             let mut worst: Option<(f64, f64, Vec<usize>)> = None;
-            search_boundaries(&ctx, &mut bounds, 1, 0, &mut |b| {
+            search_boundaries(&mut bounds, 1, &mut |b| {
                 let Some(exact) = exact_delay(&ctx, b) else { return };
                 let mut sums = vec![Partial::default(); channels];
                 for level in 0..=k {
                     if level > 0 {
-                        for (c, s) in sums.iter_mut().enumerate() {
-                            *s = s.plus(&ctx, level - 1, b[level - 1], b[level], c);
+                        let (f, half_inv) = rates(&ctx, level - 1);
+                        for (s, &cell) in sums.iter_mut().zip(segments.cells(b[level - 1], b[level])) {
+                            *s = s.plus(cell, f, half_inv);
                         }
                     }
-                    let lower = bound(&sums, tail[b[level]]);
+                    let lower = bound(&sums, tail[segments.positions[b[level]]]);
                     if lower > exact * (1.0 + 1e-12) {
                         worst = Some((lower, exact, b.to_vec()));
                     }
@@ -1086,10 +1079,10 @@ mod tests {
             prop_assert!(worst.is_none(), "bound above a leaf: {:?}", worst);
         }
 
-        /// `evaluate` and `evaluate_channels` equal the generated plan's
-        /// own expected delay, for any non-increasing frequencies and with
-        /// disks narrower than the channel count (they drop out of later
-        /// channels, or leave a channel empty: both sides then reject).
+        /// `exact_delay` equals the generated plan's own expected delay,
+        /// for any non-increasing frequencies and with disks narrower than
+        /// the channel count (they drop out of later channels, or leave a
+        /// channel empty: both sides then reject).
         #[test]
         fn evaluators_match_generated_plan(
             sizes in prop::collection::vec(1usize..=12, 1..=5),
@@ -1114,23 +1107,16 @@ mod tests {
             }
             let max_chunks = freqs.iter().copied().fold(1u64, lcm);
             let num_chunks: Vec<u64> = freqs.iter().map(|&f| max_chunks / f).collect();
-            let prefix = prefix_sums(&probs);
-            let stripes = stripe_tables(&probs, channels);
+            let segments = Segments::new(&probs, &bounds[1..k], channels);
             let ctx = SearchCtx {
-                candidates: &[],
-                prefix: &prefix,
-                stripes: Some(&stripes),
+                segments: &segments,
                 root_tail: &[],
-                channels,
                 freqs: &freqs,
                 num_chunks: &num_chunks,
                 max_chunks,
                 delta: 0,
             };
-            let mut ours = vec![evaluate_channels(&ctx, &bounds)];
-            if channels == 1 {
-                ours.push(evaluate(&prefix, &freqs, &num_chunks, max_chunks, &bounds));
-            }
+            let ours = exact_delay(&ctx, &(0..=k).collect::<Vec<_>>());
             let plan = crate::BroadcastPlan::generate(&layout, channels);
             let sqrt_bound = sqrt_rule_bound(&probs, channels).unwrap();
             if let Ok(plan) = &plan {
@@ -1149,18 +1135,16 @@ mod tests {
                     "bound {} vs (Σ√p)²/2 = {}", sqrt_bound, oracle
                 );
             }
-            for delay in ours {
-                match (delay, &plan) {
-                    (Some(d), Ok(plan)) => {
-                        let expect = plan.expected_delay(&probs);
-                        prop_assert!(
-                            (d - expect).abs() <= 1e-9 * expect.abs().max(d.abs()),
-                            "evaluator {} vs plan {}", d, expect
-                        );
-                    }
-                    (None, Err(SchedError::EmptyChannel { .. })) => {}
-                    (d, p) => prop_assert!(false, "evaluator {:?} vs plan {:?}", d, p.as_ref().err()),
+            match (ours, &plan) {
+                (Some(d), Ok(plan)) => {
+                    let expect = plan.expected_delay(&probs);
+                    prop_assert!(
+                        (d - expect).abs() <= 1e-9 * expect.abs().max(d.abs()),
+                        "evaluator {} vs plan {}", d, expect
+                    );
                 }
+                (None, Err(SchedError::EmptyChannel { .. })) => {}
+                (d, p) => prop_assert!(false, "evaluator {:?} vs plan {:?}", d, p.as_ref().err()),
             }
         }
     }

@@ -559,9 +559,12 @@ impl BroadcastPlan {
                 let mut dist: Vec<Option<u32>> = vec![None; period as usize];
                 let mut pairs = 0u64;
                 if let Some(group) = group {
+                    let mut walker = prog.coverage_walker();
+                    let mut window = Vec::with_capacity(group);
                     for (off, s) in prog.slots().iter().enumerate() {
                         if matches!(s, Slot::Repair(_)) {
-                            for o in prog.coverage_window(off as u32, group) {
+                            walker.window(off as u32, group, &mut window);
+                            for &(o, _) in &window {
                                 let d = (off as u32 + period - o) % period;
                                 pairs += 1;
                                 match &mut dist[o as usize] {

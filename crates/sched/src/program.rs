@@ -393,30 +393,37 @@ impl BroadcastProgram {
     /// This is the canonical window contract shared by the server-side
     /// encoder, the client-side decoder, and the analytic loss model —
     /// all three must walk the same offsets or coded recovery silently
-    /// corrupts (the decoder XORs the wrong pages).
+    /// corrupts (the decoder XORs the wrong pages). All of them walk it
+    /// with a [`CoverageWalker`]; this is one walk of one.
     pub fn coverage_window(&self, offset: u32, group: usize) -> Vec<u32> {
-        let period = self.period() as u32;
+        let mut window = Vec::with_capacity(group);
+        self.coverage_walker().window(offset, group, &mut window);
+        window.into_iter().map(|(o, _)| o).collect()
+    }
+
+    /// A walker over this program's coverage windows (see
+    /// [`BroadcastProgram::coverage_window`]): it lists the coded slots
+    /// once, so a walk per repair slot skips everything else.
+    pub fn coverage_walker(&self) -> CoverageWalker {
         // Every page airs at least once, so some page airs twice iff there
         // are more airings than pages.
         let hot_only = self.page_slots.len() > self.num_pages();
-        let mut pages: Vec<PageId> = Vec::with_capacity(group);
-        let mut window = Vec::with_capacity(group);
-        for d in 1..period {
-            let o = (offset + period - d) % period;
-            if let Slot::Page(p) = self.slots[o as usize] {
-                if hot_only && self.frequency(p) < 2 {
-                    continue;
-                }
-                if !pages.contains(&p) {
-                    pages.push(p);
-                    window.push(o);
-                    if window.len() == group {
-                        break;
-                    }
-                }
-            }
+        let mut coded = Vec::with_capacity(self.page_slots.len());
+        coded.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter_map(|(o, slot)| match *slot {
+                    Slot::Page(p) if !hot_only || self.frequency(p) >= 2 => Some((o as u32, p)),
+                    _ => None,
+                }),
+        );
+        CoverageWalker {
+            coded,
+            stamp: vec![0; self.num_pages()],
+            walks: 0,
+            cursor: 0,
         }
-        window
     }
 
     /// Renders the program as a compact string, e.g. `"A B A C"` with
@@ -438,6 +445,60 @@ impl BroadcastProgram {
             }
         }
         out
+    }
+}
+
+/// Walks the coverage windows of one [`BroadcastProgram`], as
+/// [`BroadcastProgram::coverage_window`] defines them, without allocating
+/// per window. The coded slots are listed once, in offset order, and a
+/// per-page stamp marks the pages a window already holds. Walks in
+/// increasing offset order (a period's repair slots, in order) move a
+/// cursor forward; an earlier offset rescans from the start.
+#[derive(Debug, Clone)]
+pub struct CoverageWalker {
+    /// `(offset, page)` of every coded slot, by offset.
+    coded: Vec<(u32, PageId)>,
+    /// `stamp[p]` = the number of the last walk that took page `p`.
+    stamp: Vec<u64>,
+    /// Walks made so far: the current walk's number.
+    walks: u64,
+    /// The first index of `coded` at or after the last offset walked.
+    cursor: usize,
+}
+
+impl CoverageWalker {
+    /// Replaces `window` with the coverage window of the slot at period
+    /// offset `offset`, as `(offset, page)` pairs, most-recent-first.
+    pub fn window(&mut self, offset: u32, group: usize, window: &mut Vec<(u32, PageId)>) {
+        window.clear();
+        if self.cursor > 0 && self.coded[self.cursor - 1].0 >= offset {
+            self.cursor = 0;
+        }
+        while self
+            .coded
+            .get(self.cursor)
+            .is_some_and(|&(o, _)| o < offset)
+        {
+            self.cursor += 1;
+        }
+        // The slot itself is not in its own window.
+        let own = usize::from(
+            self.coded
+                .get(self.cursor)
+                .is_some_and(|&(o, _)| o == offset),
+        );
+        let (before, after) = self.coded.split_at(self.cursor);
+        self.walks += 1;
+        for &(o, p) in before.iter().rev().chain(after[own..].iter().rev()) {
+            let stamp = &mut self.stamp[p.index()];
+            if *stamp != self.walks {
+                *stamp = self.walks;
+                window.push((o, p));
+                if window.len() == group {
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -666,6 +727,27 @@ mod tests {
         ];
         let p = BroadcastProgram::from_slots(slots, None, vec![]).unwrap();
         assert_eq!(p.coverage_window(0, 2), vec![2, 1]);
+        // A slot is never in its own window, not even when its page airs
+        // once and the walk wraps all the way round to it.
+        assert_eq!(p.coverage_window(1, 8), vec![2]);
+    }
+
+    /// A walker gives every offset's window whatever order it walks the
+    /// offsets in: backwards, each walk rewinds its cursor.
+    #[test]
+    fn walker_windows_match_in_any_order() {
+        let layout = DiskLayout::with_delta(&[2, 3, 5], 2).unwrap();
+        let p = BroadcastProgram::generate(&layout).unwrap();
+        let mut walker = p.coverage_walker();
+        let mut window = Vec::new();
+        for offset in (0..p.period() as u32).rev().chain(0..p.period() as u32) {
+            walker.window(offset, 3, &mut window);
+            let offsets: Vec<u32> = window.iter().map(|&(o, _)| o).collect();
+            assert_eq!(offsets, p.coverage_window(offset, 3), "offset {offset}");
+            for &(o, page) in &window {
+                assert_eq!(p.slot_at(o as u64), Slot::Page(page));
+            }
+        }
     }
 
     #[test]
