@@ -1,5 +1,5 @@
 //! The in-memory broadcast bus: pre-sized per-subscriber frame queues fed
-//! in batches, optionally sharded across a small worker pool.
+//! in batches on the broadcasting thread.
 //!
 //! This is the transport for in-process experiments — `repro live` runs 16+
 //! clients on it. With [`Backpressure::Block`] every subscriber sees every
@@ -19,11 +19,6 @@
 //! * **swap-drains**: a subscriber's `recv` takes every queued frame in one
 //!   lock by swapping the queue's buffer with its drained local buffer, so
 //!   the consumer side also pays ~one lock per batch;
-//! * **shards**: with [`BusTuning::shards`] > 0, subscribers are
-//!   partitioned round-robin across worker threads and each flush sends
-//!   one shared `Arc<[Frame]>` batch per shard over a channel, so
-//!   subscriber delivery runs off the engine thread (and in parallel on
-//!   multi-core hosts);
 //! * **keeps frames zero-copy**: queue entries are [`Frame`]s whose payload
 //!   is a shared `Arc<[u8]>` — fan-out never copies page bytes;
 //! * **allocates nothing in steady state**: subscriber buffers are
@@ -31,17 +26,14 @@
 //!   instead of rebuilding the subscriber list, and batch flushes reuse the
 //!   pending buffer.
 //!
-//! Delivery order per subscriber is identical in every mode (inline,
-//! batched, sharded) — only the timing of stats reporting moves from
-//! per-slot to per-flush.
+//! Delivery order per subscriber is identical for every batch size — only
+//! the timing of stats reporting moves from per-slot to per-flush.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 use bdisk_obs::journal::{event, EventKind};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::faults::{FaultCounts, FaultPlan, FaultSwitchboard, InjectedFrame};
 use crate::transport::{Backpressure, DeliveryStats, Frame, Transport};
@@ -231,71 +223,36 @@ impl Drop for BusSubscription {
     }
 }
 
-/// Fan-out tuning: flush batching and worker-pool sharding.
+/// Fan-out tuning: flush batching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusTuning {
     /// Frames accumulated before a flush (>= 1). With 1, every `broadcast`
     /// flushes immediately and stats are reported per slot.
     pub batch: usize,
-    /// Worker shards delivering flushes. 0 delivers inline on the
-    /// broadcasting thread; >= 1 partitions subscribers round-robin across
-    /// that many worker threads, one channel batch per shard per flush.
-    pub shards: usize,
 }
 
 impl Default for BusTuning {
     fn default() -> Self {
-        Self {
-            batch: 1,
-            shards: 0,
-        }
+        Self { batch: 1 }
     }
 }
 
 impl BusTuning {
-    /// Throughput-oriented tuning: batched flushes, with worker shards
-    /// matched to the host's parallelism (capped at 4).
+    /// Throughput-oriented tuning: batched flushes.
     pub fn throughput() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            batch: 32,
-            shards: cores.clamp(1, 4),
-        }
+        Self { batch: 32 }
     }
 }
 
-/// A flush job handed to a shard worker.
-enum ShardJob {
-    /// Register a new subscriber queue with this shard.
-    Subscribe(Arc<FrameQueue>),
-    /// Deliver this shared batch to every subscriber of the shard.
-    Flush(Arc<[Frame]>),
-}
-
-struct Shard {
-    jobs: Sender<ShardJob>,
-    stats: Receiver<DeliveryStats>,
-    handle: JoinHandle<()>,
-}
-
-enum Fanout {
-    /// Deliver on the broadcasting thread.
-    Inline { subs: Vec<Arc<FrameQueue>> },
-    /// Deliver on worker threads, one subscriber partition each.
-    Sharded { shards: Vec<Shard>, next: usize },
-}
-
-/// Batched, optionally sharded broadcast bus.
+/// Batched broadcast bus, delivering on the broadcasting thread.
 pub struct InMemoryBus {
     capacity: usize,
     backpressure: Backpressure,
     batch: usize,
     pending: Vec<Frame>,
-    /// Subscribers registered minus disconnects observed at flushes.
-    active: usize,
-    fanout: Fanout,
+    /// Live subscriber queues; evicted ones leave at the flush that finds
+    /// them gone.
+    subs: Vec<Arc<FrameQueue>>,
     /// Per-channel fault choke points (default plan + overrides).
     faults: FaultSwitchboard,
     /// Reusable injector output buffer (fault path only).
@@ -340,41 +297,11 @@ fn deliver(subs: &mut Vec<Arc<FrameQueue>>, frames: &[Frame], bp: Backpressure) 
     stats
 }
 
-fn spawn_shard(index: usize, backpressure: Backpressure) -> Shard {
-    let (job_tx, job_rx) = unbounded::<ShardJob>();
-    let (stat_tx, stat_rx) = bounded::<DeliveryStats>(1);
-    let handle = std::thread::spawn(move || {
-        let depth = crate::obs::shard_queue_depth(index);
-        let mut subs: Vec<Arc<FrameQueue>> = Vec::new();
-        while let Ok(job) = job_rx.recv() {
-            match job {
-                ShardJob::Subscribe(queue) => subs.push(queue),
-                ShardJob::Flush(frames) => {
-                    let stats = deliver(&mut subs, &frames, backpressure);
-                    depth.set(stats.max_queue as i64);
-                    if stat_tx.send(stats).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        // Bus shut down: end every remaining feed.
-        for queue in subs {
-            queue.close_tx();
-        }
-    });
-    Shard {
-        jobs: job_tx,
-        stats: stat_rx,
-        handle,
-    }
-}
-
 impl InMemoryBus {
     /// Creates a bus whose per-subscriber buffers hold `capacity` frames,
     /// with `backpressure` applied when a buffer is full. Uses the default
-    /// tuning (flush every slot, deliver inline) — see [`Self::with_tuning`]
-    /// for the batched/sharded fast path.
+    /// tuning (flush every slot) — see [`Self::with_tuning`] for the
+    /// batched fast path.
     pub fn new(capacity: usize, backpressure: Backpressure) -> Self {
         Self::with_tuning(capacity, backpressure, BusTuning::default())
     }
@@ -383,23 +310,12 @@ impl InMemoryBus {
     pub fn with_tuning(capacity: usize, backpressure: Backpressure, tuning: BusTuning) -> Self {
         assert!(capacity > 0, "bus needs buffer capacity");
         assert!(tuning.batch > 0, "flush batch must hold at least one frame");
-        let fanout = if tuning.shards == 0 {
-            Fanout::Inline { subs: Vec::new() }
-        } else {
-            Fanout::Sharded {
-                shards: (0..tuning.shards)
-                    .map(|i| spawn_shard(i, backpressure))
-                    .collect(),
-                next: 0,
-            }
-        };
         Self {
             capacity,
             backpressure,
             batch: tuning.batch,
             pending: Vec::with_capacity(tuning.batch),
-            active: 0,
-            fanout,
+            subs: Vec::new(),
             faults: FaultSwitchboard::new(),
             fault_out: Vec::new(),
             channel_frames: crate::obs::ChannelCounters::new(crate::obs::fanout_by_channel),
@@ -436,17 +352,7 @@ impl InMemoryBus {
             queue: Arc::clone(&queue),
             local: VecDeque::with_capacity(self.capacity),
         };
-        match &mut self.fanout {
-            Fanout::Inline { subs } => subs.push(queue),
-            Fanout::Sharded { shards, next } => {
-                assert!(
-                    shards[*next].jobs.send(ShardJob::Subscribe(queue)).is_ok(),
-                    "shard worker alive"
-                );
-                *next = (*next + 1) % shards.len();
-            }
-        }
-        self.active += 1;
+        self.subs.push(queue);
         crate::obs::bus().subscribers.add(1);
         sub
     }
@@ -460,53 +366,18 @@ impl InMemoryBus {
         let m = crate::obs::bus();
         m.flushes.inc();
         m.batch_occupancy.record(self.pending.len() as u64);
-        let stats = match &mut self.fanout {
-            Fanout::Inline { subs } => deliver(subs, &self.pending, self.backpressure),
-            Fanout::Sharded { shards, .. } => {
-                // One shared batch per shard: the frames (and their
-                // payloads) are cloned by refcount, not copied.
-                let batch: Arc<[Frame]> = self.pending.as_slice().into();
-                for shard in shards.iter() {
-                    let _ = shard.jobs.send(ShardJob::Flush(Arc::clone(&batch)));
-                }
-                let mut stats = DeliveryStats::default();
-                for shard in shards.iter() {
-                    if let Ok(s) = shard.stats.recv() {
-                        stats.absorb(s);
-                    }
-                }
-                stats
-            }
-        };
+        let stats = deliver(&mut self.subs, &self.pending, self.backpressure);
         self.pending.clear();
-        let gone = (stats.disconnected as usize).min(self.active);
-        self.active -= gone;
-        m.subscribers.add(-(gone as i64));
+        m.subscribers.add(-(stats.disconnected as i64));
         stats
     }
 
-    /// Closes every feed and joins workers without flushing pending frames.
+    /// Closes every feed without flushing pending frames.
     fn close(&mut self) {
-        match &mut self.fanout {
-            Fanout::Inline { subs } => {
-                for queue in subs.drain(..) {
-                    queue.close_tx();
-                }
-            }
-            Fanout::Sharded { shards, .. } => {
-                for shard in shards.drain(..) {
-                    let Shard {
-                        jobs,
-                        stats: _,
-                        handle,
-                    } = shard;
-                    drop(jobs);
-                    let _ = handle.join();
-                }
-            }
+        crate::obs::bus().subscribers.add(-(self.subs.len() as i64));
+        for queue in self.subs.drain(..) {
+            queue.close_tx();
         }
-        crate::obs::bus().subscribers.add(-(self.active as i64));
-        self.active = 0;
     }
 }
 
@@ -543,7 +414,7 @@ impl Transport for InMemoryBus {
     }
 
     fn active_clients(&self) -> usize {
-        self.active
+        self.subs.len()
     }
 
     fn flush(&mut self) -> DeliveryStats {
@@ -643,14 +514,7 @@ mod tests {
 
     #[test]
     fn batched_bus_reports_stats_at_flush_boundaries() {
-        let mut bus = InMemoryBus::with_tuning(
-            64,
-            Backpressure::Block,
-            BusTuning {
-                batch: 4,
-                shards: 0,
-            },
-        );
+        let mut bus = InMemoryBus::with_tuning(64, Backpressure::Block, BusTuning { batch: 4 });
         let sub = bus.subscribe();
         let mut per_slot = Vec::new();
         for seq in 0..6 {
@@ -665,14 +529,7 @@ mod tests {
 
     #[test]
     fn flush_delivers_a_partial_batch() {
-        let mut bus = InMemoryBus::with_tuning(
-            64,
-            Backpressure::Block,
-            BusTuning {
-                batch: 4,
-                shards: 0,
-            },
-        );
+        let mut bus = InMemoryBus::with_tuning(64, Backpressure::Block, BusTuning { batch: 4 });
         let sub = bus.subscribe();
         for seq in 0..3 {
             assert_eq!(bus.broadcast(frame(seq)).delivered, 0);
@@ -685,52 +542,6 @@ mod tests {
         assert_eq!(bus.flush(), DeliveryStats::default());
         bus.finish();
         assert_eq!(drain(sub), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn sharded_bus_delivers_everything_in_order() {
-        let mut bus = InMemoryBus::with_tuning(
-            256,
-            Backpressure::Block,
-            BusTuning {
-                batch: 8,
-                shards: 3,
-            },
-        );
-        let subs: Vec<_> = (0..5).map(|_| bus.subscribe()).collect();
-        assert_eq!(bus.active_clients(), 5);
-        let mut totals = DeliveryStats::default();
-        for seq in 0..20 {
-            totals.absorb(bus.broadcast(frame(seq)));
-        }
-        totals.absorb(bus.finish());
-        assert_eq!(totals.delivered, 5 * 20);
-        assert_eq!(totals.dropped, 0);
-        let expect: Vec<u64> = (0..20).collect();
-        for sub in subs {
-            assert_eq!(drain(sub), expect);
-        }
-    }
-
-    #[test]
-    fn sharded_bus_counts_disconnects() {
-        let mut bus = InMemoryBus::with_tuning(
-            4,
-            Backpressure::Disconnect,
-            BusTuning {
-                batch: 1,
-                shards: 2,
-            },
-        );
-        let keep = bus.subscribe();
-        let evict = bus.subscribe();
-        drop(evict);
-        let stats = bus.broadcast(frame(0));
-        assert_eq!(stats.disconnected, 1);
-        assert_eq!(stats.delivered, 1);
-        assert_eq!(bus.active_clients(), 1);
-        bus.finish();
-        assert_eq!(drain(keep), vec![0]);
     }
 
     /// Satellite fix: `max_queue` is sampled before the enqueue, so a

@@ -8,8 +8,7 @@
 //!
 //! * [`InMemoryBus`] — a broadcast bus of per-subscriber frame queues for
 //!   in-process experiments (lossless or lossy, see [`Backpressure`]),
-//!   with batched flushes and optional worker-pool sharding
-//!   ([`BusTuning`]) on the hot path;
+//!   with batched flushes ([`BusTuning`]) delivered on the engine thread;
 //! * [`EventedTcpTransport`] — real `std::net` sockets on a
 //!   single-threaded epoll event loop: length-prefixed page frames
 //!   encoded once per slot and shared by every connection's backlog,

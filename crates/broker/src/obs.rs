@@ -99,18 +99,6 @@ pub(crate) fn bus() -> &'static BusMetrics {
     })
 }
 
-/// Per-shard queue-depth gauge (`bd_bus_shard_queue_depth{shard=...}`),
-/// registered when a shard worker spawns. Peak backlog seen by the shard's
-/// most recent flush.
-pub(crate) fn shard_queue_depth(shard: usize) -> &'static Gauge {
-    registry::gauge_labeled(
-        "bd_bus_shard_queue_depth",
-        "Peak subscriber backlog observed by this shard's latest flush (frames)",
-        "shard",
-        shard.to_string(),
-    )
-}
-
 /// Per-channel slots aired by the engine
 /// (`bd_slots_by_channel_total{channel=...}`).
 pub(crate) fn slots_by_channel(channel: u16) -> &'static Counter {
@@ -543,7 +531,6 @@ pub fn register_metrics() {
     let _ = evented();
     let _ = client();
     let _ = stage();
-    let _ = shard_queue_depth(0);
     let _ = slots_by_channel(0);
     let _ = fanout_by_channel(0);
     let _ = fault_channel_counter(0);

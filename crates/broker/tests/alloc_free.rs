@@ -73,14 +73,7 @@ fn steady_state_broadcast_allocates_nothing() {
 
     // DropNewest with full buffers: every broadcast exercises the
     // backpressure path too, and nothing ever drains.
-    let mut bus = InMemoryBus::with_tuning(
-        32,
-        Backpressure::DropNewest,
-        BusTuning {
-            batch: 8,
-            shards: 0,
-        },
-    );
+    let mut bus = InMemoryBus::with_tuning(32, Backpressure::DropNewest, BusTuning { batch: 8 });
     let subs: Vec<_> = (0..16).map(|_| bus.subscribe()).collect();
 
     // Warm-up: fill the (pre-sized) queues and the pending batch, and let

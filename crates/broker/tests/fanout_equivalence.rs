@@ -1,7 +1,6 @@
-//! Property test (satellite of the fan-out tentpole): whatever the tuning —
-//! per-slot sequential delivery, batched flushes, or a worker-shard pool —
-//! the bus hands every subscriber the exact same frame sequence and reports
-//! the exact same `DeliveryStats` totals.
+//! Property test: whatever the tuning — per-slot sequential delivery or
+//! batched flushes — the bus hands every subscriber the exact same frame
+//! sequence and reports the exact same `DeliveryStats` totals.
 //!
 //! Broadcasts run with no concurrent consumer so queue evolution is
 //! deterministic; subscribers drain after `finish`. Block is only generated
@@ -63,7 +62,6 @@ proptest! {
         subs in 1usize..10,
         frames in 1usize..150,
         batch in 1usize..40,
-        shards in 1usize..5,
         lossy in 0u8..2,
         page_size in 0usize..48,
     ) {
@@ -87,21 +85,16 @@ proptest! {
             frames,
             &payloads,
         );
-        for tuning in [
-            BusTuning { batch, shards: 0 },
-            BusTuning { batch, shards },
-        ] {
-            let (seen, stats) =
-                run_fleet(tuning, backpressure, capacity, subs, frames, &payloads);
-            prop_assert_eq!(
-                &seen, &baseline_seen,
-                "frame sequences diverged under {:?}", tuning
-            );
-            prop_assert_eq!(
-                stats, baseline_stats,
-                "delivery stats diverged under {:?}", tuning
-            );
-        }
+        let tuning = BusTuning { batch };
+        let (seen, stats) = run_fleet(tuning, backpressure, capacity, subs, frames, &payloads);
+        prop_assert_eq!(
+            &seen, &baseline_seen,
+            "frame sequences diverged under {:?}", tuning
+        );
+        prop_assert_eq!(
+            stats, baseline_stats,
+            "delivery stats diverged under {:?}", tuning
+        );
         prop_assert!(
             bdisk_obs::journal().head() > journal_start,
             "tracing was on: the runs must have journaled events"

@@ -102,11 +102,11 @@ fn sixteen_clients_match_their_simulated_twins() {
     assert!(fleet.p50 <= fleet.p95 && fleet.p95 <= fleet.p99);
 }
 
-/// The zero-copy fast path (batched flushes + worker-shard fan-out) is
-/// observably identical to the default bus: the same clients still match
-/// their simulated twins bit for bit.
+/// The tuning every bus experiment runs (`BusTuning::throughput()`,
+/// batched flushes) is observably identical to the default bus: the same
+/// clients still match their simulated twins bit for bit.
 #[test]
-fn batched_sharded_bus_preserves_simulator_parity() {
+fn throughput_bus_preserves_simulator_parity() {
     let layout = DiskLayout::with_delta(&[20, 80, 100], 2).unwrap();
     let program = BroadcastProgram::generate(&layout).unwrap();
     let roster: Vec<(PolicyKind, u64)> = [PolicyKind::Lru, PolicyKind::Lix]
@@ -114,14 +114,7 @@ fn batched_sharded_bus_preserves_simulator_parity() {
         .flat_map(|&p| (0..4).map(move |i| (p, 2000 + i * 13)))
         .collect();
 
-    let mut bus = InMemoryBus::with_tuning(
-        256,
-        Backpressure::Block,
-        BusTuning {
-            batch: 16,
-            shards: 2,
-        },
-    );
+    let mut bus = InMemoryBus::with_tuning(256, Backpressure::Block, BusTuning::throughput());
     let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
     let mut clients: Vec<LiveClient> = roster
         .iter()
@@ -151,7 +144,7 @@ fn batched_sharded_bus_preserves_simulator_parity() {
         let live = client.into_results().outcome;
         assert_eq!(
             live.mean_response_time, predicted.mean_response_time,
-            "{policy:?} seed {seed}: sharded bus diverged from simulator"
+            "{policy:?} seed {seed}: throughput bus diverged from simulator"
         );
         assert_eq!(live.hit_rate, predicted.hit_rate);
         assert_eq!(live.end_time, predicted.end_time);

@@ -473,8 +473,8 @@ fn run_bus(
     layout: &bdisk_sched::DiskLayout,
     plan: &BroadcastPlan,
 ) -> (bdisk_broker::EngineReport, Vec<LiveClientResult>) {
-    // The zero-copy fast path: batched flushes + worker-shard fan-out. The
-    // bus stays lossless (Block), so parity with the simulator is exact.
+    // The zero-copy fast path: batched flushes, delivered inline. The bus
+    // stays lossless (Block), so parity with the simulator is exact.
     let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
     let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
     let mut clients: Vec<LiveClient> = roster

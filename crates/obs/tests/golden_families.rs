@@ -9,13 +9,12 @@
 use std::collections::BTreeSet;
 
 /// Every family name expected after all layers register eagerly, sorted.
-/// One entry per family: labeled series (`bd_shard_queue_depth{shard}` et
-/// al.) collapse to their family name, exactly like a `# TYPE` line.
+/// One entry per family: labeled series (`bd_slots_by_channel_total{channel}`
+/// et al.) collapse to their family name, exactly like a `# TYPE` line.
 const GOLDEN_FAMILIES: &[&str] = &[
     "bd_bus_backpressure_stalls_total",
     "bd_bus_batch_occupancy",
     "bd_bus_flushes_total",
-    "bd_bus_shard_queue_depth",
     "bd_bus_subscribers",
     "bd_cache_evictions_total",
     "bd_cache_hits_total",
