@@ -34,7 +34,6 @@ use bdisk_sim::{
     AccessLocation, ClientCore, Mapping, Measurements, SimConfig, SimError, SimOutcome,
 };
 
-use crate::bus::BusSubscription;
 use crate::transport::{Frame, PullRequest};
 
 /// One plan epoch as a client sees it: the plan itself plus the policy
@@ -842,21 +841,6 @@ impl LiveClient {
         self.end_time = t;
         crate::obs::client().finished.inc();
         true
-    }
-
-    /// Drains a bus subscription until done or the feed closes. Run this on
-    /// the client's own thread. Takes the subscription by value so that
-    /// finishing drops it — which is how the engine learns the client left
-    /// (and stops, when `stop_when_no_clients` is set).
-    pub fn run(&mut self, mut sub: BusSubscription) {
-        while !self.done {
-            match sub.recv() {
-                Some(frame) => {
-                    self.on_frame(&frame);
-                }
-                None => break,
-            }
-        }
     }
 
     /// True once the measurement target has been reached.

@@ -642,7 +642,6 @@ impl BroadcastEngine {
 mod tests {
     use super::*;
     use crate::bus::InMemoryBus;
-    use crate::transport::Backpressure;
     use bdisk_sched::{DiskLayout, PageId};
 
     fn program() -> BroadcastProgram {
@@ -664,8 +663,9 @@ mod tests {
         plans
     }
 
-    /// Records every frame the engine airs; with a checkpoint handle it
-    /// also snapshots the checkpoint as each frame goes out.
+    /// Records every frame the engine airs, reporting it delivered to its
+    /// one client; with a checkpoint handle it also snapshots the
+    /// checkpoint as each frame goes out.
     #[derive(Default)]
     struct Recorder {
         frames: Vec<Frame>,
@@ -678,8 +678,13 @@ mod tests {
             if let Some(cp) = &self.checkpoint {
                 self.snapshots.push(cp.snapshot());
             }
+            let stats = DeliveryStats {
+                delivered: 1,
+                bytes: frame.wire_len() as u64,
+                ..DeliveryStats::default()
+            };
             self.frames.push(frame);
-            DeliveryStats::default()
+            stats
         }
 
         fn active_clients(&self) -> usize {
@@ -843,7 +848,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(16, Backpressure::DropNewest);
+        let mut bus = InMemoryBus::new(vec![]);
         let report = engine.run(&mut bus);
         assert_eq!(report.slots_sent, period * 3);
         assert_eq!(report.major_cycles, 3);
@@ -853,14 +858,23 @@ mod tests {
 
     #[test]
     fn stops_when_last_client_leaves() {
+        let layout = DiskLayout::with_delta(&[4, 8, 12], 2).unwrap();
+        let cfg = bdisk_sim::SimConfig {
+            access_range: 24,
+            region_size: 2,
+            requests: 20,
+            warmup_requests: 5,
+            ..bdisk_sim::SimConfig::default()
+        };
+        let client = crate::LiveClient::new(&cfg, &layout, program(), 3).unwrap();
         let engine = BroadcastEngine::new(program(), EngineConfig::default());
-        let mut bus = InMemoryBus::new(4, Backpressure::Disconnect);
-        let _sub = bus.subscribe(); // never drained: evicted once the buffer fills
+        let mut bus = InMemoryBus::new(vec![client]);
         let report = engine.run(&mut bus);
         assert_eq!(report.clients_disconnected, 1);
-        // 4 delivered into the buffer, the 5th evicts, then no clients.
-        assert_eq!(report.frames_delivered, 4);
-        assert!(report.slots_sent <= 6);
+        // The engine stops on the very frame that finished the client.
+        let frames_seen = bus.into_results()[0].frames_seen;
+        assert_eq!(report.slots_sent, frames_seen);
+        assert_eq!(report.frames_delivered, frames_seen);
     }
 
     #[test]
@@ -875,12 +889,11 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(16, Backpressure::DropNewest);
-        let mut sub = bus.subscribe();
-        let report = engine.run(&mut bus);
+        let mut rec = Recorder::default();
+        let report = engine.run(&mut rec);
         assert_eq!(report.slots_sent, 10);
         let mut bytes = 0u64;
-        while let Some(frame) = sub.recv() {
+        for frame in rec.frames {
             match frame.slot {
                 bdisk_sched::Slot::Page(_) => {
                     assert_eq!(frame.payload.len(), 32, "page frames carry PageSize bytes")
@@ -916,16 +929,15 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(4096, Backpressure::DropNewest);
-        let mut sub = bus.subscribe();
-        let report = engine.run(&mut bus);
+        let mut rec = Recorder::default();
+        let report = engine.run(&mut rec);
         assert_eq!(report.slots_sent, period);
 
         let payloads = PagePayloads::generate(plan.num_pages(), 32);
         let ch = ChannelId(0);
         let code = ChannelCode::build(plan.program(ch), 0, plan.coding().unwrap());
         let mut repair_frames = 0usize;
-        while let Some(frame) = sub.recv() {
+        for frame in rec.frames {
             if let Slot::Repair(id) = frame.slot {
                 let spec = code.symbol(id).unwrap();
                 let mut expect = vec![0u8; 32];
@@ -950,7 +962,7 @@ mod tests {
         );
         // No subscribers at all: the engine still ticks out the grace
         // window before concluding the fleet is gone for good.
-        let mut bus = InMemoryBus::new(4, Backpressure::DropNewest);
+        let mut bus = InMemoryBus::new(vec![]);
         let report = engine.run(&mut bus);
         assert_eq!(report.slots_sent, 5);
         assert_eq!(report.overruns, 0);
@@ -973,7 +985,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(64, Backpressure::DropNewest);
+        let mut bus = InMemoryBus::new(vec![]);
         let report = engine.run(&mut bus);
         assert_eq!(report.slots_sent, 10);
         assert_eq!(report.overruns, 10);
@@ -996,7 +1008,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(64, Backpressure::DropNewest);
+        let mut bus = InMemoryBus::new(vec![]);
         let report = engine.run(&mut bus);
         assert_eq!(report.slots_sent, 20);
         // Slot 19 is sent no earlier than 19ms in.

@@ -6,9 +6,9 @@
 //! and fans each page out to N concurrent clients over a pluggable
 //! [`Transport`]:
 //!
-//! * [`InMemoryBus`] — a broadcast bus of per-subscriber frame queues for
-//!   in-process experiments (lossless or lossy, see [`Backpressure`]),
-//!   with batched flushes ([`BusTuning`]) delivered on the engine thread;
+//! * [`InMemoryBus`] — the in-process medium: it owns its
+//!   [`LiveClient`]s and calls each one's `on_frame` inline on the engine
+//!   thread, lossless and in order unless a fault plan withholds a frame;
 //! * [`EventedTcpTransport`] — real `std::net` sockets on a
 //!   single-threaded epoll event loop: length-prefixed page frames
 //!   encoded once per slot and shared by every connection's backlog,
@@ -63,7 +63,7 @@ pub mod upstream;
 pub use mini_mio::raise_nofile_limit;
 
 pub use arbiter::{PullConfig, PullMode, PullStats, SlotArbiter, UserPullStats};
-pub use bus::{BusSubscription, BusTuning, InMemoryBus};
+pub use bus::InMemoryBus;
 pub use client::{ClientEpoch, DriftBook, LiveClient, LiveClientResult};
 pub use crc::crc32;
 pub use engine::{BroadcastEngine, EngineCheckpoint, EngineConfig, EngineReport, EngineResume};

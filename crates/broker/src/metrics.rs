@@ -77,7 +77,6 @@ pub fn aggregate(engine: EngineReport, results: Vec<LiveClientResult>) -> LiveRe
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::transport::Backpressure;
     use crate::{BroadcastEngine, InMemoryBus, LiveClient};
     use bdisk_cache::PolicyKind;
     use bdisk_sched::{BroadcastProgram, DiskLayout};
@@ -99,29 +98,13 @@ mod tests {
             ..SimConfig::default()
         };
 
-        let mut bus = InMemoryBus::new(64, Backpressure::Block);
-        let subs = [bus.subscribe(), bus.subscribe()];
-        let mut clients: Vec<LiveClient> = (0..2)
+        let clients: Vec<LiveClient> = (0..2)
             .map(|i| LiveClient::new(&cfg, &layout, program.clone(), 7 + i).unwrap())
             .collect();
-
+        let mut bus = InMemoryBus::new(clients);
         let engine = BroadcastEngine::new(program, EngineConfig::default());
-        let engine_report = crossbeam::scope(|scope| {
-            let handles: Vec<_> = clients
-                .iter_mut()
-                .zip(subs)
-                .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-                .collect();
-            let report = engine.run(&mut bus);
-            for h in handles {
-                h.join().unwrap();
-            }
-            report
-        })
-        .unwrap();
-        let client_results: Vec<LiveClientResult> =
-            clients.into_iter().map(|c| c.into_results()).collect();
-        let results = aggregate(engine_report, client_results);
+        let engine_report = engine.run(&mut bus);
+        let results = aggregate(engine_report, bus.into_results());
 
         assert_eq!(results.clients, 2);
         assert_eq!(results.measured_requests, 400);
@@ -152,7 +135,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let mut bus = InMemoryBus::new(4, Backpressure::Block);
+        let mut bus = InMemoryBus::new(vec![]);
         let report = engine.run(&mut bus);
         let live = aggregate(report, Vec::new());
         assert_eq!(live.clients, 0);

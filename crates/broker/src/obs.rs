@@ -64,41 +64,6 @@ pub(crate) fn engine() -> &'static EngineMetrics {
     })
 }
 
-/// In-memory bus fan-out metrics.
-pub(crate) struct BusMetrics {
-    /// `bd_bus_flushes_total`
-    pub flushes: &'static Counter,
-    /// `bd_bus_batch_occupancy`
-    pub batch_occupancy: &'static Histogram,
-    /// `bd_bus_backpressure_stalls_total`
-    pub stalls: &'static Counter,
-    /// `bd_bus_subscribers`
-    pub subscribers: &'static Gauge,
-}
-
-pub(crate) fn bus() -> &'static BusMetrics {
-    static M: OnceLock<BusMetrics> = OnceLock::new();
-    M.get_or_init(|| BusMetrics {
-        flushes: registry::counter(
-            "bd_bus_flushes_total",
-            "Batch flushes delivered by the in-memory bus",
-        ),
-        batch_occupancy: registry::histogram(
-            "bd_bus_batch_occupancy",
-            "Frames per bus flush batch",
-            POW2_BOUNDS,
-        ),
-        stalls: registry::counter(
-            "bd_bus_backpressure_stalls_total",
-            "Producer stalls on a full subscriber queue under Backpressure::Block",
-        ),
-        subscribers: registry::gauge(
-            "bd_bus_subscribers",
-            "Subscribers currently registered on in-memory buses",
-        ),
-    })
-}
-
 /// Per-channel slots aired by the engine
 /// (`bd_slots_by_channel_total{channel=...}`).
 pub(crate) fn slots_by_channel(channel: u16) -> &'static Counter {
@@ -526,7 +491,6 @@ pub(crate) fn pull() -> &'static PullMetrics {
 /// metrics server.
 pub fn register_metrics() {
     let _ = engine();
-    let _ = bus();
     let _ = tcp();
     let _ = evented();
     let _ = client();

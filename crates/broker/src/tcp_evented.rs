@@ -24,9 +24,8 @@
 //!   and disarms when the backlog empties.
 //! * **Backpressure** — a backlog at [`TcpTransportConfig::queue_capacity`]
 //!   applies the [`Backpressure`] policy: `DropNewest` skips the new frame
-//!   for that connection, `Disconnect` evicts the slow consumer, `Block`
-//!   is rejected at bind (a broadcast medium never stalls on one
-//!   receiver).
+//!   for that connection, `Disconnect` evicts the slow consumer. There is
+//!   no blocking policy: a broadcast medium never stalls on one receiver.
 //! * **Faults** — kills, erasure, corruption, and delay run through the
 //!   `FaultSwitchboard` choke point (one seeded injector per channel) and
 //!   the `encode_corrupted` bit-flipper, so a fault plan's schedule is a
@@ -77,7 +76,7 @@ use crate::upstream::UpstreamParser;
 pub struct TcpTransportConfig {
     /// Frames buffered per connection before backpressure applies.
     pub queue_capacity: usize,
-    /// Slow-consumer policy ([`Backpressure::Block`] is rejected at bind).
+    /// Slow-consumer policy.
     pub backpressure: Backpressure,
     /// Most backlog frames a flush folds into one vectored write.
     pub max_coalesce: usize,
@@ -301,11 +300,6 @@ impl EventedTcpTransport {
     /// Binds `127.0.0.1:0` and registers the listener with the poll; no
     /// threads are spawned, ever.
     pub fn bind(cfg: TcpTransportConfig) -> io::Result<Self> {
-        assert!(
-            cfg.backpressure != Backpressure::Block,
-            "TCP transport cannot block the broadcast on one socket; \
-             use DropNewest or Disconnect"
-        );
         assert!(cfg.queue_capacity > 0, "need send-buffer capacity");
         assert!(cfg.max_coalesce > 0, "flushes must send at least one frame");
         assert!(
@@ -595,7 +589,7 @@ impl EventedTcpTransport {
                         stats.dropped += 1;
                         stats.max_queue = stats.max_queue.max(backlog);
                     }
-                    Backpressure::Disconnect | Backpressure::Block => {
+                    Backpressure::Disconnect => {
                         if let Some(id) = evict_slot(poll, slab, pending_free, live, idx) {
                             stats.disconnected += 1;
                             event(EventKind::Disconnect, id, 1);
@@ -1013,15 +1007,6 @@ mod tests {
                 transport.flush_every
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot block")]
-    fn block_backpressure_rejected_at_bind() {
-        let _ = EventedTcpTransport::bind(TcpTransportConfig {
-            backpressure: Backpressure::Block,
-            ..TcpTransportConfig::default()
-        });
     }
 
     #[test]

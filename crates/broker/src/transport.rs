@@ -583,25 +583,6 @@ pub enum Backpressure {
     DropNewest,
     /// Disconnect the slow client outright.
     Disconnect,
-    /// Block the broadcast until the client catches up (lossless). Only
-    /// meaningful for in-process experiments — it gives every client a
-    /// perfect feed, which is what exact simulator parity requires.
-    Block,
-}
-
-impl std::str::FromStr for Backpressure {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "drop" | "drop-newest" | "dropnewest" => Ok(Backpressure::DropNewest),
-            "disconnect" => Ok(Backpressure::Disconnect),
-            "block" => Ok(Backpressure::Block),
-            other => Err(format!(
-                "unknown backpressure policy '{other}' (expected drop, disconnect, or block)"
-            )),
-        }
-    }
 }
 
 /// Per-broadcast delivery accounting, accumulated by the engine.
@@ -617,11 +598,8 @@ pub struct DeliveryStats {
     /// per delivered frame).
     pub bytes: u64,
     /// Largest per-client backlog (queued frames, including the frame
-    /// being delivered) sampled at enqueue time. Sampling happens *before*
-    /// a blocking send waits, so a full buffer under
-    /// [`Backpressure::Block`] reports `capacity + 1` — the queued frames
-    /// plus the one in flight — rather than whatever remains after the
-    /// client drains.
+    /// being delivered) sampled at enqueue time. An inline medium, which
+    /// hands each frame over as it airs, reports 1.
     pub max_queue: usize,
 }
 
@@ -1035,17 +1013,6 @@ mod tests {
         let crc = body_crc(&short);
         short[CRC_OFFSET..CRC_OFFSET + 4].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(Frame::decode(&short), Err(FrameError::Truncated));
-    }
-
-    #[test]
-    fn backpressure_parses() {
-        assert_eq!("drop".parse::<Backpressure>(), Ok(Backpressure::DropNewest));
-        assert_eq!(
-            "Disconnect".parse::<Backpressure>(),
-            Ok(Backpressure::Disconnect)
-        );
-        assert_eq!("BLOCK".parse::<Backpressure>(), Ok(Backpressure::Block));
-        assert!("nope".parse::<Backpressure>().is_err());
     }
 
     #[test]

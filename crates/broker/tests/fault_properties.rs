@@ -2,9 +2,10 @@
 //!
 //! * a **zero-fault** plan is not "a plan that happens to do nothing" — it
 //!   must leave both transports *bit-identical* to never having installed
-//!   a plan at all: same frames, same payload bytes, same `DeliveryStats`
-//!   (TCP compares stats minus `max_queue`, which depends on how much
-//!   the socket accepted at each flush);
+//!   a plan at all: on the bus, the same client results and engine totals;
+//!   over TCP, the same frames, payload bytes and `DeliveryStats` (minus
+//!   `max_queue`, which depends on how much the socket accepted at each
+//!   flush);
 //! * the same seed replays the identical fault sequence, at both the
 //!   decision level (`channel_fault`) and the injector level (what comes
 //!   out of the choke point, and in what order).
@@ -13,10 +14,12 @@ use std::time::Duration;
 
 use bdisk_broker::faults::InjectedFrame;
 use bdisk_broker::{
-    Backpressure, BusTuning, ChannelFault, DeliveryStats, EventedTcpTransport, FaultInjector,
-    FaultPlan, Frame, InMemoryBus, PagePayloads, TcpFrameReader, TcpTransportConfig, Transport,
+    BroadcastEngine, ChannelFault, DeliveryStats, EngineConfig, EventedTcpTransport, FaultInjector,
+    FaultPlan, Frame, InMemoryBus, LiveClient, PagePayloads, TcpFrameReader, TcpTransportConfig,
+    Transport,
 };
-use bdisk_sched::{PageId, Slot};
+use bdisk_sched::{BroadcastProgram, DiskLayout, PageId, Slot};
+use bdisk_sim::SimConfig;
 use proptest::prelude::*;
 
 fn slot_for(seq: u64) -> Slot {
@@ -27,39 +30,58 @@ fn slot_for(seq: u64) -> Slot {
     }
 }
 
-/// Broadcasts `frames` slots on a bus (optionally under `plan`) and
-/// returns each subscriber's received (seq, payload-checksum) sequence
-/// plus the summed stats.
+/// Runs an engine for at most `frames` slots of a small program over a bus
+/// of `clients` clients (optionally under `plan`), each finishing after
+/// `requests` measured requests. Returns every client's results and the
+/// engine's delivery totals, rendered for exact comparison.
 fn run_bus(
     plan: Option<FaultPlan>,
-    backpressure: Backpressure,
-    capacity: usize,
-    subs: usize,
-    frames: usize,
-    payloads: &PagePayloads,
-) -> (Vec<Vec<(u64, u64)>>, DeliveryStats) {
-    let mut bus = InMemoryBus::with_tuning(capacity, backpressure, BusTuning::default());
+    clients: u64,
+    requests: u64,
+    frames: u64,
+    page_size: usize,
+) -> (Vec<String>, String) {
+    let layout = DiskLayout::with_delta(&[4, 8, 12], 2).unwrap();
+    let program = BroadcastProgram::generate(&layout).unwrap();
+    let cfg = SimConfig {
+        access_range: 24,
+        region_size: 2,
+        requests,
+        warmup_requests: 2,
+        ..SimConfig::default()
+    };
+    let clients = (0..clients)
+        .map(|seed| LiveClient::new(&cfg, &layout, program.clone(), seed).unwrap())
+        .collect();
+    let mut bus = InMemoryBus::new(clients);
     if let Some(plan) = plan {
         bus.set_fault_plan(plan);
     }
-    let mut receivers: Vec<_> = (0..subs).map(|_| bus.subscribe()).collect();
-    let mut totals = DeliveryStats::default();
-    for seq in 0..frames as u64 {
-        totals.absorb(bus.broadcast(payloads.frame(seq, slot_for(seq))));
-    }
-    totals.absorb(bus.finish());
-    let seen = receivers
-        .iter_mut()
-        .map(|sub| {
-            std::iter::from_fn(|| sub.recv())
-                .map(|f| {
-                    let sum: u64 = f.payload.iter().map(|&b| b as u64).sum();
-                    (f.seq, sum)
-                })
-                .collect()
+    let engine = BroadcastEngine::new(
+        program,
+        EngineConfig {
+            max_slots: frames,
+            page_size,
+            ..EngineConfig::default()
+        },
+    );
+    let r = engine.run(&mut bus);
+    let totals = (
+        r.slots_sent,
+        r.frames_delivered,
+        r.clients_disconnected,
+        r.bytes_sent,
+    );
+    let totals = format!("{totals:?} {:?}", bus.fault_counts());
+    let results = bus
+        .into_results()
+        .into_iter()
+        .map(|c| {
+            let counts = (c.frames_seen, c.gaps, c.gap_slots, c.recovery_waits);
+            format!("{:?} {counts:?}", c.outcome)
         })
         .collect();
-    (seen, totals)
+    (results, totals)
 }
 
 /// Broadcasts `frames` slots over loopback TCP (optionally under `plan`)
@@ -133,34 +155,27 @@ fn injector_trace(plan: FaultPlan, frames: usize) -> (Vec<(u64, bool)>, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Zero-fault plan ≡ no plan, on the bus: frames and full stats.
+    /// Zero-fault plan ≡ no plan, on the bus: client results and engine
+    /// totals.
     #[test]
     fn zero_fault_plan_is_bit_identical_on_bus(
         seed in any::<u64>(),
         max_delay in 1u64..16,
-        subs in 1usize..6,
-        frames in 1usize..120,
-        lossy in 0u8..2,
+        clients in 1u64..6,
+        requests in 1u64..20,
+        frames in 1u64..400,
         page_size in 0usize..48,
     ) {
-        let (backpressure, capacity) = if lossy == 1 {
-            (Backpressure::DropNewest, 8)
-        } else {
-            (Backpressure::Block, 128)
-        };
-        let payloads = PagePayloads::generate(7, page_size);
-        let (base_seen, base_stats) =
-            run_bus(None, backpressure, capacity, subs, frames, &payloads);
-        let (seen, stats) = run_bus(
+        let base = run_bus(None, clients, requests, frames, page_size);
+        let zero = run_bus(
             Some(zero_plan(seed, max_delay)),
-            backpressure,
-            capacity,
-            subs,
+            clients,
+            requests,
             frames,
-            &payloads,
+            page_size,
         );
-        prop_assert_eq!(seen, base_seen, "zero plan changed delivered frames");
-        prop_assert_eq!(stats, base_stats, "zero plan changed delivery stats");
+        prop_assert_eq!(zero.0, base.0, "zero plan changed client results");
+        prop_assert_eq!(zero.1, base.1, "zero plan changed engine totals");
     }
 
     /// The same seed replays the identical fault sequence — decision

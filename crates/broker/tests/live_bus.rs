@@ -1,10 +1,9 @@
-//! Live-vs-simulator parity: 16 concurrent clients (four per policy) on a
-//! lossless in-memory bus must reproduce each client's simulator prediction
-//! exactly — same seed, same config, bit-identical measurements.
+//! Live-vs-simulator parity: 16 clients (four per policy) on the lossless
+//! in-memory bus must reproduce each client's simulator prediction exactly
+//! — same seed, same config, bit-identical measurements.
 
 use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, InMemoryBus, LiveClient,
-    LiveClientResult,
+    aggregate, BroadcastEngine, ChannelFault, EngineConfig, FaultPlan, InMemoryBus, LiveClient,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
@@ -42,29 +41,15 @@ fn sixteen_clients_match_their_simulated_twins() {
         .collect();
     assert_eq!(roster.len(), 16);
 
-    let mut bus = InMemoryBus::new(256, Backpressure::Block);
-    let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = roster
+    let clients: Vec<LiveClient> = roster
         .iter()
         .map(|&(policy, seed)| {
             LiveClient::new(&config(policy), &layout, program.clone(), seed).unwrap()
         })
         .collect();
-
+    let mut bus = InMemoryBus::new(clients);
     let engine = BroadcastEngine::new(program.clone(), EngineConfig::default());
-    let report = crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().unwrap();
-        }
-        report
-    })
-    .unwrap();
+    let report = engine.run(&mut bus);
 
     // The lossless bus delivered every frame: nothing dropped, and the run
     // spanned at least two full major cycles of the broadcast.
@@ -77,7 +62,7 @@ fn sixteen_clients_match_their_simulated_twins() {
         program.period()
     );
 
-    let results: Vec<LiveClientResult> = clients.into_iter().map(|c| c.into_results()).collect();
+    let results = bus.into_results();
     for (result, &(policy, seed)) in results.iter().zip(&roster) {
         let predicted = simulate(&config(policy), &layout, seed).unwrap();
         let live = &result.outcome;
@@ -102,59 +87,9 @@ fn sixteen_clients_match_their_simulated_twins() {
     assert!(fleet.p50 <= fleet.p95 && fleet.p95 <= fleet.p99);
 }
 
-/// The tuning every bus experiment runs (`BusTuning::throughput()`,
-/// batched flushes) is observably identical to the default bus: the same
-/// clients still match their simulated twins bit for bit.
 #[test]
-fn throughput_bus_preserves_simulator_parity() {
-    let layout = DiskLayout::with_delta(&[20, 80, 100], 2).unwrap();
-    let program = BroadcastProgram::generate(&layout).unwrap();
-    let roster: Vec<(PolicyKind, u64)> = [PolicyKind::Lru, PolicyKind::Lix]
-        .iter()
-        .flat_map(|&p| (0..4).map(move |i| (p, 2000 + i * 13)))
-        .collect();
-
-    let mut bus = InMemoryBus::with_tuning(256, Backpressure::Block, BusTuning::throughput());
-    let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = roster
-        .iter()
-        .map(|&(policy, seed)| {
-            LiveClient::new(&config(policy), &layout, program.clone(), seed).unwrap()
-        })
-        .collect();
-
-    let engine = BroadcastEngine::new(program, EngineConfig::default());
-    let report = crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().unwrap();
-        }
-        report
-    })
-    .unwrap();
-
-    assert_eq!(report.frames_dropped, 0);
-    for (client, &(policy, seed)) in clients.into_iter().zip(&roster) {
-        let predicted = simulate(&config(policy), &layout, seed).unwrap();
-        let live = client.into_results().outcome;
-        assert_eq!(
-            live.mean_response_time, predicted.mean_response_time,
-            "{policy:?} seed {seed}: throughput bus diverged from simulator"
-        );
-        assert_eq!(live.hit_rate, predicted.hit_rate);
-        assert_eq!(live.end_time, predicted.end_time);
-        assert_eq!(live.access_fractions, predicted.access_fractions);
-    }
-}
-
-#[test]
-fn drop_newest_bus_still_lets_clients_finish() {
-    // A lossy feed costs extra broadcast periods (a dropped page comes
+fn erasure_bus_still_lets_clients_finish() {
+    // A lossy feed costs extra broadcast periods (an erased page comes
     // around again) but never wedges the protocol.
     let layout = DiskLayout::with_delta(&[10, 40, 50], 2).unwrap();
     let program = BroadcastProgram::generate(&layout).unwrap();
@@ -167,25 +102,27 @@ fn drop_newest_bus_still_lets_clients_finish() {
         warmup_requests: 20,
         ..cfg
     };
+    let plan = FaultPlan::erasure_only(7, 0.2);
 
-    // Tiny buffer so the free-running engine overruns the client.
-    let mut bus = InMemoryBus::new(2, Backpressure::DropNewest);
-    let sub = bus.subscribe();
-    let mut client = LiveClient::new(&cfg, &layout, program.clone(), 5).unwrap();
-
+    let client = LiveClient::new(&cfg, &layout, program.clone(), 5).unwrap();
+    let mut bus = InMemoryBus::new(vec![client]);
+    bus.set_fault_plan(plan);
     let engine = BroadcastEngine::new(program, EngineConfig::default());
-    let client_ref = &mut client;
-    let report = crossbeam::scope(move |scope| {
-        let handle = scope.spawn(move |_| client_ref.run(sub));
-        let report = engine.run(&mut bus);
-        handle.join().unwrap();
-        report
-    })
-    .unwrap();
+    let report = engine.run(&mut bus);
 
-    let results = client.into_results();
+    // The client heard exactly the slots the plan let through, up to the
+    // one that finished it; the plan erased every other slot aired.
+    let delivered = (0..report.slots_sent)
+        .filter(|&seq| plan.channel_fault(seq) == ChannelFault::Deliver)
+        .count() as u64;
+    assert!(
+        delivered < report.slots_sent,
+        "the plan must erase something"
+    );
+    assert_eq!(bus.fault_counts().erased, report.slots_sent - delivered);
+    assert_eq!(report.frames_delivered, delivered);
+    let results = bus.into_results().remove(0);
+    assert_eq!(results.frames_seen, delivered);
     assert_eq!(results.outcome.measured_requests, 150);
-    // The engine raced ahead of the client, so frames were dropped — the
-    // client finished anyway by waiting out extra periods.
-    assert!(report.slots_sent > 0);
+    assert!(results.gaps > 0);
 }

@@ -25,9 +25,7 @@
 //! `monotonicity: OK` and `parity: EXACT`, print only after the asserts
 //! above pass.
 
-use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, InMemoryBus, LiveClient,
-};
+use bdisk_broker::{aggregate, BroadcastEngine, EngineConfig, InMemoryBus, LiveClient};
 use bdisk_cache::PolicyKind;
 use bdisk_sched::BroadcastPlan;
 use bdisk_sim::{seeds_from_base, simulate_plan, SimConfig, SimOutcome};
@@ -183,15 +181,14 @@ fn live_parity(scale: Scale, opts: &LiveOptions, layout: &bdisk_sched::DiskLayou
         roster.len()
     );
 
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
-    let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = roster
+    let clients: Vec<LiveClient> = roster
         .iter()
         .map(|&(policy, seed)| {
             LiveClient::with_plan(&config(scale, policy, 2), layout, plan.clone(), seed)
                 .expect("live client config is valid")
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
 
     let engine = BroadcastEngine::with_plan(
         plan.clone(),
@@ -200,21 +197,9 @@ fn live_parity(scale: Scale, opts: &LiveOptions, layout: &bdisk_sched::DiskLayou
             ..EngineConfig::default()
         },
     );
-    let report = crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("client thread must not panic");
-        }
-        report
-    })
-    .expect("live parity run must not panic");
+    let report = engine.run(&mut bus);
 
-    let results: Vec<_> = clients.into_iter().map(|c| c.into_results()).collect();
+    let results: Vec<_> = bus.into_results();
     let mut worst_gap: f64 = 0.0;
     for (&(policy, seed), result) in roster.iter().zip(&results) {
         let cfg = config(scale, policy, 2);

@@ -44,10 +44,7 @@
 //! `monotonicity: OK` and `parity: EXACT`, print only after the asserts
 //! above pass.
 
-use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, FaultPlan, InMemoryBus,
-    LiveClient, LiveClientResult,
-};
+use bdisk_broker::{aggregate, BroadcastEngine, EngineConfig, FaultPlan, InMemoryBus, LiveClient};
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastPlan, CodingConfig, DiskLayout};
 use bdisk_sim::{seeds_from_base, simulate_plan, SimConfig};
@@ -146,15 +143,14 @@ fn sweep_point(
         ..common::caching_config(scale, PolicyKind::Lix, 0.0)
     };
 
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
-    bus.set_fault_plan(FaultPlan::erasure_only(fault_seed(), loss));
-    let subs: Vec<_> = (0..n).map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = seeds
+    let clients: Vec<LiveClient> = seeds
         .iter()
         .map(|&seed| {
             LiveClient::with_plan(&cfg, layout, plan.clone(), seed).expect("valid client config")
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
+    bus.set_fault_plan(FaultPlan::erasure_only(fault_seed(), loss));
 
     let engine = BroadcastEngine::with_plan(
         plan.clone(),
@@ -164,55 +160,40 @@ fn sweep_point(
             ..EngineConfig::default()
         },
     );
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("coding sweep client must not panic");
-        }
-        report
-    })
-    .map(|report| {
-        let results: Vec<LiveClientResult> =
-            clients.into_iter().map(|c| c.into_results()).collect();
-        for r in &results {
-            assert_eq!(
-                r.outcome.measured_requests, cfg.requests,
-                "a coding sweep client failed to finish (rate {rate}, loss {loss})"
-            );
-        }
-        let recoveries: u64 = results.iter().map(|r| r.recoveries).sum();
-        let recoveries_coded = results.iter().map(|r| r.recoveries_coded).sum();
-        let symbols_decoded = results.iter().map(|r| r.symbols_decoded).sum();
-        let mut waits: Vec<u64> = results
-            .iter()
-            .flat_map(|r| r.recovery_waits.iter().copied())
-            .collect();
-        let mean_wait = if waits.is_empty() {
-            0.0
-        } else {
-            waits.iter().sum::<u64>() as f64 / waits.len() as f64
-        };
-        let p99_wait = common::percentile(&mut waits, 0.99);
-        let max_wait = waits.last().copied().unwrap_or(0);
-        let fleet = aggregate(report, results);
-        PointOutcome {
-            mean: fleet.mean_response_time,
-            recoveries,
-            recoveries_coded,
-            symbols_decoded,
-            mean_wait,
-            p99_wait,
-            max_wait,
-            analytic: plan.expected_delay_lossy(probs, loss),
-            analytic_excess: plan.expected_delay_lossy(probs, loss) - plan.expected_delay(probs),
-        }
-    })
-    .expect("coding sweep run must not panic")
+    let report = engine.run(&mut bus);
+    let results = bus.into_results();
+    for r in &results {
+        assert_eq!(
+            r.outcome.measured_requests, cfg.requests,
+            "a coding sweep client failed to finish (rate {rate}, loss {loss})"
+        );
+    }
+    let recoveries: u64 = results.iter().map(|r| r.recoveries).sum();
+    let recoveries_coded = results.iter().map(|r| r.recoveries_coded).sum();
+    let symbols_decoded = results.iter().map(|r| r.symbols_decoded).sum();
+    let mut waits: Vec<u64> = results
+        .iter()
+        .flat_map(|r| r.recovery_waits.iter().copied())
+        .collect();
+    let mean_wait = if waits.is_empty() {
+        0.0
+    } else {
+        waits.iter().sum::<u64>() as f64 / waits.len() as f64
+    };
+    let p99_wait = common::percentile(&mut waits, 0.99);
+    let max_wait = waits.last().copied().unwrap_or(0);
+    let fleet = aggregate(report, results);
+    PointOutcome {
+        mean: fleet.mean_response_time,
+        recoveries,
+        recoveries_coded,
+        symbols_decoded,
+        mean_wait,
+        p99_wait,
+        max_wait,
+        analytic: plan.expected_delay_lossy(probs, loss),
+        analytic_excess: plan.expected_delay_lossy(probs, loss) - plan.expected_delay(probs),
+    }
 }
 
 /// Runs the sweep, the monotonicity assertions, the coded parity stage,
@@ -402,15 +383,14 @@ fn coded_parity(scale: Scale, opts: &LiveOptions, layout: &DiskLayout) {
     );
     println!("{}", plan.summary());
 
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
-    let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = roster
+    let clients: Vec<LiveClient> = roster
         .iter()
         .map(|&(policy, seed)| {
             LiveClient::with_plan(&config(policy), layout, plan.clone(), seed)
                 .expect("live client config is valid")
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
 
     let engine = BroadcastEngine::with_plan(
         plan.clone(),
@@ -419,20 +399,9 @@ fn coded_parity(scale: Scale, opts: &LiveOptions, layout: &DiskLayout) {
             ..EngineConfig::default()
         },
     );
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("parity client must not panic");
-        }
-    })
-    .expect("coded parity run must not panic");
+    engine.run(&mut bus);
 
-    let results: Vec<_> = clients.into_iter().map(|c| c.into_results()).collect();
+    let results = bus.into_results();
     let mut worst_gap: f64 = 0.0;
     for (&(policy, seed), result) in roster.iter().zip(&results) {
         assert_eq!(result.gaps, 0, "{policy:?}: lossless feed saw gaps");

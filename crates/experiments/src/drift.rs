@@ -27,9 +27,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bdisk_broker::{
-    Backpressure, BroadcastEngine, BusTuning, ClientEpoch, DriftBook, EngineConfig,
-    EventedTcpTransport, FaultPlan, InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy,
-    TcpClientFeed, TcpTransportConfig, Transport,
+    Backpressure, BroadcastEngine, ClientEpoch, DriftBook, EngineConfig, EventedTcpTransport,
+    FaultPlan, InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed,
+    TcpTransportConfig, Transport,
 };
 use bdisk_cache::PolicyContext;
 use bdisk_sched::{BroadcastPlan, BroadcastProgram, DiskLayout, PageId, Slot};
@@ -389,10 +389,8 @@ fn control(
 
     println!("--- control: {n} bus clients, same drift, no swaps ---");
 
-    let mut bus = InMemoryBus::with_tuning(4096, Backpressure::Block, BusTuning::throughput());
-    let subs: Vec<_> = (0..n).map(|_| bus.subscribe()).collect();
     let seeds = seeds_from_base(common::context().base_seed, n);
-    let mut clients: Vec<LiveClient> = seeds
+    let clients: Vec<LiveClient> = seeds
         .iter()
         .map(|&seed| {
             LiveClient::with_plan(cfg, &world.layout, world.plans[0].clone(), seed)
@@ -401,6 +399,7 @@ fn control(
                 .with_delay_buckets(window / 2)
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
 
     let engine = BroadcastEngine::with_plan(
         world.plans[0].clone(),
@@ -410,20 +409,9 @@ fn control(
             ..EngineConfig::default()
         },
     );
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("control client must not panic");
-        }
-    })
-    .expect("control run must not panic");
+    engine.run(&mut bus);
 
-    let results: Vec<LiveClientResult> = clients.into_iter().map(|c| c.into_results()).collect();
+    let results = bus.into_results();
     for r in &results {
         assert_eq!(
             r.outcome.measured_requests, cfg.requests,

@@ -24,9 +24,8 @@
 use std::time::Duration;
 
 use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, EventedTcpTransport,
-    FaultPlan, InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed,
-    TcpTransportConfig,
+    aggregate, Backpressure, BroadcastEngine, EngineConfig, EventedTcpTransport, FaultPlan,
+    InMemoryBus, LiveClient, LiveClientResult, ReconnectPolicy, TcpClientFeed, TcpTransportConfig,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::{BroadcastProgram, DiskLayout};
@@ -104,9 +103,9 @@ struct PointOutcome {
     erased: u64,
 }
 
-/// Runs one (policy, erasure-rate) fleet on the deterministic bus. Block
-/// backpressure means the only loss is the injected loss, so the outcome
-/// is a pure function of the seeds — reruns are bit-identical.
+/// Runs one (policy, erasure-rate) fleet on the deterministic bus. The
+/// bus drops nothing itself, so the only loss is the injected loss and the
+/// outcome is a pure function of the seeds — reruns are bit-identical.
 fn sweep_point(
     scale: Scale,
     opts: &LiveOptions,
@@ -119,17 +118,16 @@ fn sweep_point(
     let seeds = seeds_from_base(common::context().base_seed, n);
     let cfg = common::caching_config(scale, policy, 0.30);
 
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
-    if rate > 0.0 {
-        bus.set_fault_plan(FaultPlan::erasure_only(fault_seed(), rate));
-    }
-    let subs: Vec<_> = (0..n).map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = seeds
+    let clients: Vec<LiveClient> = seeds
         .iter()
         .map(|&seed| {
             LiveClient::new(&cfg, layout, program.clone(), seed).expect("valid client config")
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
+    if rate > 0.0 {
+        bus.set_fault_plan(FaultPlan::erasure_only(fault_seed(), rate));
+    }
 
     let engine = BroadcastEngine::new(
         program.clone(),
@@ -139,22 +137,10 @@ fn sweep_point(
             ..EngineConfig::default()
         },
     );
-    let report = crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("sweep client must not panic");
-        }
-        report
-    })
-    .expect("sweep run must not panic");
+    let report = engine.run(&mut bus);
 
     let erased = bus.fault_counts().erased;
-    let results: Vec<LiveClientResult> = clients.into_iter().map(|c| c.into_results()).collect();
+    let results: Vec<LiveClientResult> = bus.into_results();
     for r in &results {
         assert_eq!(
             r.outcome.measured_requests,

@@ -18,8 +18,8 @@
 use std::time::Duration;
 
 use bdisk_broker::{
-    aggregate, Backpressure, BroadcastEngine, BusTuning, EngineConfig, EventedTcpTransport,
-    InMemoryBus, LiveClient, LiveClientResult, TcpFrameReader, TcpTransportConfig,
+    aggregate, Backpressure, BroadcastEngine, EngineConfig, EventedTcpTransport, InMemoryBus,
+    LiveClient, LiveClientResult, TcpFrameReader, TcpTransportConfig,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_sched::BroadcastPlan;
@@ -473,11 +473,9 @@ fn run_bus(
     layout: &bdisk_sched::DiskLayout,
     plan: &BroadcastPlan,
 ) -> (bdisk_broker::EngineReport, Vec<LiveClientResult>) {
-    // The zero-copy fast path: batched flushes, delivered inline. The bus
-    // stays lossless (Block), so parity with the simulator is exact.
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
-    let subs: Vec<_> = roster.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = roster
+    // The bus calls each client inline, lossless and in order, so parity
+    // with the simulator is exact.
+    let clients: Vec<LiveClient> = roster
         .iter()
         .map(|&(policy, seed)| {
             let cfg = config(scale, policy, plan.num_channels());
@@ -485,6 +483,7 @@ fn run_bus(
                 .expect("live client config is valid")
         })
         .collect();
+    let mut bus = InMemoryBus::new(clients);
 
     let engine = BroadcastEngine::with_plan(
         plan.clone(),
@@ -493,21 +492,9 @@ fn run_bus(
             ..EngineConfig::default()
         },
     );
-    let report = crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        let report = engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("client thread must not panic");
-        }
-        report
-    })
-    .expect("live run must not panic");
+    let report = engine.run(&mut bus);
 
-    let results = clients.into_iter().map(|c| c.into_results()).collect();
+    let results = bus.into_results();
     (report, results)
 }
 

@@ -24,8 +24,7 @@
 //!   waterfall.
 
 use bdisk_broker::{
-    Backpressure, BroadcastEngine, BusTuning, EngineConfig, FaultPlan, InMemoryBus, LiveClient,
-    LiveClientResult,
+    BroadcastEngine, EngineConfig, FaultPlan, InMemoryBus, LiveClient, LiveClientResult,
 };
 use bdisk_cache::PolicyKind;
 use bdisk_obs::trace::{self, Span, REQUEST_PHASE_NAMES};
@@ -113,20 +112,19 @@ fn run_point(scale: Scale, opts: &LiveOptions, point: Point) -> Vec<LiveClientRe
     let seeds = seeds_from_base(common::context().base_seed, CLIENTS_PER_POINT);
     let cfg = config(scale, point);
 
-    let mut bus = InMemoryBus::with_tuning(512, Backpressure::Block, BusTuning::throughput());
+    let clients: Vec<LiveClient> = seeds
+        .iter()
+        .map(|&seed| {
+            LiveClient::with_plan(&cfg, &layout, plan.clone(), seed).expect("valid client config")
+        })
+        .collect();
+    let mut bus = InMemoryBus::new(clients);
     if point.loss > 0.0 {
         bus.set_fault_plan(FaultPlan::erasure_only(
             common::context().base_seed ^ 0x7135,
             point.loss,
         ));
     }
-    let subs: Vec<_> = seeds.iter().map(|_| bus.subscribe()).collect();
-    let mut clients: Vec<LiveClient> = seeds
-        .iter()
-        .map(|&seed| {
-            LiveClient::with_plan(&cfg, &layout, plan.clone(), seed).expect("valid client config")
-        })
-        .collect();
 
     let engine = BroadcastEngine::with_plan(
         plan,
@@ -136,20 +134,9 @@ fn run_point(scale: Scale, opts: &LiveOptions, point: Point) -> Vec<LiveClientRe
             ..EngineConfig::default()
         },
     );
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .zip(subs)
-            .map(|(client, sub)| scope.spawn(move |_| client.run(sub)))
-            .collect();
-        engine.run(&mut bus);
-        for h in handles {
-            h.join().expect("timeline client must not panic");
-        }
-    })
-    .expect("timeline run must not panic");
+    engine.run(&mut bus);
 
-    clients.into_iter().map(|c| c.into_results()).collect()
+    bus.into_results()
 }
 
 /// Nearest-rank percentile over floats; 0 when empty. Sorts in place.

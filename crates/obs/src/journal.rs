@@ -26,14 +26,9 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 pub enum EventKind {
     /// The engine broadcast one slot (`a` = slot sequence, `b` = page id).
     SlotTick = 0,
-    /// A frame batch was enqueued to a client queue (`a` = queue id,
-    /// `b` = frames delivered).
-    Enqueue = 1,
-    /// Frames were dropped at a full client queue (`a` = queue id,
-    /// `b` = frames dropped).
-    Drop = 2,
-    /// A client disconnected or was force-disconnected (`a` = queue or
-    /// connection id, `b` = 1 if forced by backpressure policy).
+    /// A client disconnected, was force-disconnected, or finished on the
+    /// in-memory bus (`a` = connection id or bus client index, `b` = 1 if
+    /// forced by backpressure policy).
     Disconnect = 3,
     /// A page was admitted to a client cache (`a` = client id,
     /// `b` = page id).
@@ -41,9 +36,6 @@ pub enum EventKind {
     /// A page was evicted from a client cache (`a` = client id,
     /// `b` = page id).
     CacheEvict = 5,
-    /// A producer stalled on a full queue under `Backpressure::Block`
-    /// (`a` = queue id, `b` = backlog at stall).
-    BackpressureStall = 6,
     /// A fault was injected into the broadcast (`a` = slot sequence,
     /// `b` = fault code: 0 erase, 1 corrupt, 2 delay, 3 kill, 4 overrun).
     FaultInjected = 7,
@@ -66,12 +58,9 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::SlotTick => "slot_tick",
-            EventKind::Enqueue => "enqueue",
-            EventKind::Drop => "drop",
             EventKind::Disconnect => "disconnect",
             EventKind::CacheAdmit => "cache_admit",
             EventKind::CacheEvict => "cache_evict",
-            EventKind::BackpressureStall => "backpressure_stall",
             EventKind::FaultInjected => "fault_injected",
             EventKind::FrameGap => "frame_gap",
             EventKind::Recovery => "recovery",
@@ -84,12 +73,9 @@ impl EventKind {
     pub fn from_u8(v: u8) -> Option<Self> {
         Some(match v {
             0 => EventKind::SlotTick,
-            1 => EventKind::Enqueue,
-            2 => EventKind::Drop,
             3 => EventKind::Disconnect,
             4 => EventKind::CacheAdmit,
             5 => EventKind::CacheEvict,
-            6 => EventKind::BackpressureStall,
             7 => EventKind::FaultInjected,
             8 => EventKind::FrameGap,
             9 => EventKind::Recovery,
@@ -274,7 +260,7 @@ mod tests {
     fn overflow_is_counted_not_silent() {
         let j = Journal::with_capacity(8);
         for i in 0..20 {
-            j.record(EventKind::Enqueue, i, 0);
+            j.record(EventKind::SlotTick, i, 0);
         }
         let batch = j.since(0);
         // Ring holds the last 8 of 20; 12 were overwritten.
@@ -289,14 +275,14 @@ mod tests {
     fn since_resumes_from_cursor() {
         let j = Journal::with_capacity(16);
         for i in 0..4 {
-            j.record(EventKind::Drop, i, 1);
+            j.record(EventKind::FrameGap, i, 1);
         }
         let first = j.since(0);
         assert_eq!(first.events.len(), 4);
         let again = j.since(first.next_seq);
         assert!(again.events.is_empty());
         assert_eq!(again.dropped, 0);
-        j.record(EventKind::Drop, 99, 1);
+        j.record(EventKind::FrameGap, 99, 1);
         let tail = j.since(first.next_seq);
         assert_eq!(tail.events.len(), 1);
         assert_eq!(tail.events[0].a, 99);
@@ -317,7 +303,7 @@ mod tests {
             let j = Arc::clone(&j);
             handles.push(std::thread::spawn(move || {
                 for i in 0..200u64 {
-                    j.record(EventKind::Enqueue, t, i);
+                    j.record(EventKind::SlotTick, t, i);
                 }
             }));
         }
@@ -335,7 +321,7 @@ mod tests {
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(EventKind::SlotTick.name(), "slot_tick");
-        assert_eq!(EventKind::BackpressureStall.name(), "backpressure_stall");
+        assert_eq!(EventKind::Disconnect.name(), "disconnect");
         assert_eq!(EventKind::FaultInjected.name(), "fault_injected");
         assert_eq!(EventKind::FrameGap.name(), "frame_gap");
         assert_eq!(EventKind::Recovery.name(), "recovery");
@@ -346,5 +332,9 @@ mod tests {
         assert_eq!(EventKind::from_u8(10), Some(EventKind::Reconnect));
         assert_eq!(EventKind::from_u8(11), Some(EventKind::EpochSwap));
         assert_eq!(EventKind::from_u8(200), None);
+        // Retired kinds keep their discriminants unused.
+        for retired in [1, 2, 6] {
+            assert_eq!(EventKind::from_u8(retired), None);
+        }
     }
 }

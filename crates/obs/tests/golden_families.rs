@@ -12,10 +12,6 @@ use std::collections::BTreeSet;
 /// One entry per family: labeled series (`bd_slots_by_channel_total{channel}`
 /// et al.) collapse to their family name, exactly like a `# TYPE` line.
 const GOLDEN_FAMILIES: &[&str] = &[
-    "bd_bus_backpressure_stalls_total",
-    "bd_bus_batch_occupancy",
-    "bd_bus_flushes_total",
-    "bd_bus_subscribers",
     "bd_cache_evictions_total",
     "bd_cache_hits_total",
     "bd_cache_invalidations_total",

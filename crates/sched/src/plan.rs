@@ -63,10 +63,14 @@ pub enum CodecKind {
 /// period carries repair symbols, and how those symbols are composed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodingConfig {
-    /// Target fraction of each channel's period spent on repair slots.
-    /// Empty (padding) slots are converted first; if they do not reach the
-    /// target, duplicate airings of hot pages are stolen — never a page's
-    /// last airing, so every page still airs at least once per period.
+    /// Ceiling on the fraction of each channel's period spent on repair
+    /// slots: at most `⌊rate·period⌋` of them. Empty (padding) slots are
+    /// converted first; if they do not reach the ceiling, duplicate
+    /// airings of hot pages are stolen, under a discipline that protects
+    /// some airings (never a page's last one, never two adjacent ones).
+    /// Stealing stops when every remaining airing is protected, so the
+    /// achieved share can fall well short of `rate` — see
+    /// [`BroadcastPlan::repair_slots_of`] for what a plan actually airs.
     /// `0.0` disables coding entirely (the identity transformation).
     pub rate: f64,
     /// Coverage-window size: each repair symbol protects the last `group`
