@@ -333,9 +333,10 @@ impl BroadcastEngine {
         let mut killed = false;
         let m = crate::obs::engine();
         let em = crate::obs::epoch_metrics();
-        // One payload buffer per page for the whole run; every frame (and
-        // every subscriber) shares it by refcount. Pages are plan-global,
-        // so one buffer set serves every channel and every epoch.
+        // At most 256 payload buffers for the whole run (pages 256 apart
+        // carry the same bytes); every frame (and every subscriber) shares
+        // its page's buffer by refcount. Pages are plan-global, so one
+        // buffer set serves every channel and every epoch.
         let max_pages = self.plans.iter().map(|p| p.num_pages()).max().unwrap();
         let payloads = PagePayloads::generate(max_pages, self.cfg.page_size);
         // Coded plans air parity symbols from a precomputed table (one

@@ -481,15 +481,25 @@ fn wire_len(bytes: &[u8]) -> Option<Result<usize, FrameError>> {
     })
 }
 
-/// Pre-built page payloads, one shared buffer per page.
+/// Distinct page payloads: byte `i` of page `p` depends on `p` only
+/// through `p · 131 mod 256`, so pages `p` and `p + 256` carry the same
+/// bytes.
+const DISTINCT_PAYLOADS: usize = 256;
+
+/// Pre-built page payloads, one shared buffer per distinct content.
 ///
 /// The engine generates this table once at startup (`PageSize` bytes per
 /// page, paper Table 2) and every frame of page `p` clones the same
-/// `Arc<[u8]>` — page content is materialized exactly once per run, no
-/// matter how many slots or subscribers it fans out to.
+/// `Arc<[u8]>` — page content is materialized once per run, no matter how
+/// many slots or subscribers it fans out to. The stand-in content repeats
+/// every 256 pages, so the table holds `min(num_pages, 256)` buffers and
+/// costs O(256 · page size) whatever the catalog size; page `p` shares
+/// the buffer of page `p mod 256`.
 #[derive(Debug, Clone)]
 pub struct PagePayloads {
-    pages: Vec<Arc<[u8]>>,
+    /// `buffers[r]` is the payload of every page `p ≡ r (mod 256)`.
+    buffers: Vec<Arc<[u8]>>,
+    num_pages: usize,
     empty: Arc<[u8]>,
 }
 
@@ -497,24 +507,30 @@ impl PagePayloads {
     /// Builds deterministic `page_size`-byte payloads for pages
     /// `0..num_pages`. Byte `i` of page `p` is `(p * 131 + i) mod 256`, so
     /// clients can verify content integrity without shipping real data.
+    ///
+    /// Every buffer is a window of one `page_size + 255`-byte ramp
+    /// (byte `j` is `j mod 256`): page `p`'s window starts at
+    /// `p · 131 mod 256`. One allocation and one copy per buffer.
     pub fn generate(num_pages: usize, page_size: usize) -> Self {
-        let pages = (0..num_pages)
-            .map(|p| {
-                (0..page_size)
-                    .map(|i| (p.wrapping_mul(131).wrapping_add(i)) as u8)
-                    .collect::<Vec<u8>>()
-                    .into()
+        let ramp: Vec<u8> = (0..page_size + DISTINCT_PAYLOADS - 1)
+            .map(|j| j as u8)
+            .collect();
+        let buffers = (0..num_pages.min(DISTINCT_PAYLOADS))
+            .map(|r| {
+                let start = r * 131 % DISTINCT_PAYLOADS;
+                Arc::from(&ramp[start..start + page_size])
             })
             .collect();
         Self {
-            pages,
+            buffers,
+            num_pages,
             empty: empty_payload(),
         }
     }
 
     /// Bytes per page payload.
     pub fn page_size(&self) -> usize {
-        self.pages.first().map_or(0, |p| p.len())
+        self.buffers.first().map_or(0, |p| p.len())
     }
 
     /// The channel-0 frame for slot `seq` carrying `slot`, sharing the
@@ -533,7 +549,7 @@ impl PagePayloads {
         let payload = match slot {
             // A pull airing carries the same shared payload as a push
             // airing of the page — only the channel-field flag differs.
-            Slot::Page(p) | Slot::Pull(p) => Arc::clone(&self.pages[p.index()]),
+            Slot::Page(p) | Slot::Pull(p) => Arc::clone(self.page(p)),
             // EpochFence never comes from a program slot (fences carry
             // their base in a payload built by `Frame::fence`), but an
             // empty payload keeps the match total.
@@ -548,10 +564,16 @@ impl PagePayloads {
         }
     }
 
-    /// The payload table itself, indexed by page id (the repair-symbol
-    /// encoder XORs these).
+    /// The shared payload of `page` (the repair-symbol encoder XORs
+    /// these). Panics if `page` is outside `0..num_pages`.
     pub fn page(&self, page: PageId) -> &Arc<[u8]> {
-        &self.pages[page.index()]
+        let p = page.index();
+        assert!(
+            p < self.num_pages,
+            "page {p} outside a {}-page payload table",
+            self.num_pages
+        );
+        &self.buffers[p % DISTINCT_PAYLOADS]
     }
 }
 
@@ -709,6 +731,47 @@ mod tests {
         let p0 = a.frame(0, Slot::Page(PageId(0)));
         let p1 = a.frame(0, Slot::Page(PageId(1)));
         assert_ne!(p0.payload, p1.payload);
+    }
+
+    #[test]
+    fn payload_bytes_follow_the_page_formula() {
+        for page_size in [1, 63, 64, 1000, 4096] {
+            let payloads = PagePayloads::generate(2000, page_size);
+            assert_eq!(payloads.page_size(), page_size);
+            for p in 0..2000usize {
+                let bytes = payloads.page(PageId(p as u32));
+                assert_eq!(bytes.len(), page_size);
+                for (i, &b) in bytes.iter().enumerate() {
+                    assert_eq!(b, (p * 131 + i) as u8, "page {p} byte {i} @ {page_size}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pages_256_apart_share_one_buffer() {
+        let payloads = PagePayloads::generate(1000, 32);
+        for p in 0..(1000 - 256) {
+            let a = payloads.page(PageId(p));
+            let b = payloads.page(PageId(p + 256));
+            assert!(Arc::ptr_eq(a, b), "pages {p} and {}", p + 256);
+        }
+    }
+
+    #[test]
+    fn a_large_catalog_holds_at_most_256_buffers() {
+        let payloads = PagePayloads::generate(50_000, 64);
+        let distinct: std::collections::HashSet<*const u8> = (0..50_000)
+            .map(|p| Arc::as_ptr(payloads.page(PageId(p))) as *const u8)
+            .collect();
+        assert!(distinct.len() <= 256, "{} buffers", distinct.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 300-page payload table")]
+    fn page_past_the_table_panics() {
+        let payloads = PagePayloads::generate(300, 8);
+        let _ = payloads.page(PageId(300));
     }
 
     #[test]

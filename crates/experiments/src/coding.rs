@@ -196,6 +196,22 @@ fn sweep_point(
     }
 }
 
+/// Prints `plan`'s per-channel slot budgets and the repair share each
+/// channel achieved. `rate` is only a ceiling: stealing stops once every
+/// remaining airing is protected, so a plan can air less than it asked.
+fn print_plan(plan: &BroadcastPlan) {
+    println!("{}", plan.summary());
+    for s in plan.channel_stats() {
+        println!(
+            "{}: achieved repair share {:.3} ({} of {} slots)",
+            s.channel,
+            s.repair_slots as f64 / s.period as f64,
+            s.repair_slots,
+            s.period,
+        );
+    }
+}
+
 /// Runs the sweep, the monotonicity assertions, the coded parity stage,
 /// and the artifacts.
 pub fn run(scale: Scale, opts: &LiveOptions) {
@@ -228,9 +244,10 @@ pub fn run(scale: Scale, opts: &LiveOptions) {
                 .expect("paper layout is valid")
                 .with_coding(CodingConfig::lt(rate, GROUP, coding_seed()))
                 .expect("sweep coding config is valid");
-            // Satellite: the plan summary reports per-channel slot budgets
-            // (data / empty / repair), so the dead-air conversion is visible.
-            println!("\nplan @ rate {rate:.2}:\n{}", plan.summary());
+            // The plan summary reports per-channel slot budgets (data /
+            // empty / repair), so the dead-air conversion is visible.
+            println!("\nplan @ rate {rate:.2}:");
+            print_plan(&plan);
             plan
         })
         .collect();
@@ -364,9 +381,10 @@ pub fn run(scale: Scale, opts: &LiveOptions) {
 /// lossless bus: every client must be bit-identical to `simulate_plan` on
 /// the same plan, and must decode nothing.
 fn coded_parity(scale: Scale, opts: &LiveOptions, layout: &DiskLayout) {
+    let rate = 0.10;
     let plan = BroadcastPlan::generate(layout, 2)
         .expect("2-channel D5 plan")
-        .with_coding(CodingConfig::lt(0.10, GROUP, coding_seed()))
+        .with_coding(CodingConfig::lt(rate, GROUP, coding_seed()))
         .expect("parity coding config is valid");
     let policies = [PolicyKind::Pix, PolicyKind::Lix, PolicyKind::Lru];
     let seeds = seeds_from_base(common::context().base_seed, policies.len());
@@ -378,10 +396,10 @@ fn coded_parity(scale: Scale, opts: &LiveOptions, layout: &DiskLayout) {
     };
 
     println!(
-        "\n=== coding: live parity — {} clients on a coded 2-channel plan (LT) ===",
+        "\n=== coding: live parity — {} clients on a coded 2-channel plan (LT, rate {rate:.2}) ===",
         roster.len()
     );
-    println!("{}", plan.summary());
+    print_plan(&plan);
 
     let clients: Vec<LiveClient> = roster
         .iter()

@@ -359,12 +359,17 @@ pub fn trace(scale: Scale, opts: &LiveOptions) {
     // the first few, and buffer collected rows for the CSV. A free-running
     // engine emits millions of events per run, so the CSV keeps the first
     // `CSV_MAX_EVENTS` and the per-kind totals keep counting past the cap.
+    // The run starts only once the tailer is polling, and the tailer polls
+    // back to back (yielding, never sleeping): given a core of its own in
+    // the run's first ~2 ms, it reads the run's first event before the
+    // ring laps it.
     const STDOUT_EVENTS: usize = 24;
     const CSV_MAX_EVENTS: u64 = 250_000;
     let done = AtomicBool::new(false);
+    let ready = AtomicBool::new(false);
     let start_seq = bdisk_obs::journal().head();
-    let (report, results, csv, total, dropped) = crossbeam::scope(|scope| {
-        let done = &done;
+    let (report, results, csv, total, dropped, first_seq) = crossbeam::scope(|scope| {
+        let (done, ready) = (&done, &ready);
         let tailer = scope.spawn(move |_| {
             let journal = bdisk_obs::journal();
             let mut next = start_seq;
@@ -374,12 +379,15 @@ pub fn trace(scale: Scale, opts: &LiveOptions) {
             let mut dropped: u64 = 0;
             let mut printed = 0usize;
             let mut counts = [0u64; 16];
+            let mut first_seq = None;
+            ready.store(true, Ordering::Release);
             loop {
                 let finished = done.load(Ordering::Acquire);
                 let batch = journal.since(next);
                 next = batch.next_seq;
                 dropped += batch.dropped;
                 for ev in &batch.events {
+                    first_seq.get_or_insert(ev.seq);
                     total += 1;
                     counts[ev.kind as usize & 15] += 1;
                     if total <= CSV_MAX_EVENTS {
@@ -401,15 +409,19 @@ pub fn trace(scale: Scale, opts: &LiveOptions) {
                     }
                 }
                 if finished {
-                    return (csv, total, dropped, counts);
+                    return (csv, total, dropped, counts, first_seq);
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::yield_now();
             }
         });
 
+        while !ready.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
         let (report, results) = run_bus(scale, &trace_opts, &roster, &layout, &plan);
         done.store(true, Ordering::Release);
-        let (csv, total, dropped, counts) = tailer.join().expect("tailer must not panic");
+        let (csv, total, dropped, counts, first_seq) =
+            tailer.join().expect("tailer must not panic");
 
         println!("\nevent totals over {} collected events:", total);
         for kind in 0..12u8 {
@@ -420,7 +432,7 @@ pub fn trace(scale: Scale, opts: &LiveOptions) {
                 println!("  {:<18} {}", name, counts[kind as usize]);
             }
         }
-        (report, results, csv, total, dropped)
+        (report, results, csv, total, dropped, first_seq)
     })
     .expect("trace run must not panic");
 
@@ -428,6 +440,10 @@ pub fn trace(scale: Scale, opts: &LiveOptions) {
     // events; the reader's dropped count is part of the result, printed
     // even when it's the happy zero.
     println!("  reader dropped: {dropped} events overwritten before collection");
+    // The witness: the printed sample opens on the run's first event.
+    if first_seq == Some(start_seq) {
+        println!("trace: sample starts at run start: OK");
+    }
     if total > CSV_MAX_EVENTS {
         println!(
             "  (trace.csv truncated to the first {CSV_MAX_EVENTS} of {total} collected events)"

@@ -550,13 +550,46 @@ impl BroadcastPlan {
             return self.expected_delay(probs);
         }
         self.check_access_range(probs);
-        // Per channel: for each data-slot offset, the distance (in slots)
-        // to the nearest repair symbol covering it, if any — plus the
-        // peeling success probability σ from the mean coverage
-        // multiplicity λ (how many symbols cover a covered slot).
+        let cover = self.repair_cover(loss);
+        let mut delay = 0.0;
+        for (p, &pr) in probs.iter().enumerate() {
+            if pr == 0.0 {
+                continue;
+            }
+            let ch = self.page_channel[p] as usize;
+            let prog = &self.programs[ch];
+            let local = PageId(self.page_local[p]);
+            let period = prog.period() as f64;
+            let base = prog.expected_delay(local);
+            let starts = prog.page_starts(local);
+            // Count and sum the covered airings' repair distances in one
+            // pass, in airing order.
+            let (covered, dist_sum) = starts
+                .iter()
+                .filter_map(|&o| cover[ch].0[o as usize])
+                .fold((0usize, 0.0f64), |(n, sum), d| (n + 1, sum + d as f64));
+            let freq = starts.len() as f64;
+            let q = covered as f64 / freq;
+            let r_bar = if covered == 0 {
+                0.0
+            } else {
+                dist_sum / covered as f64
+            };
+            let s = q * cover[ch].1;
+            let g_bar = period / freq;
+            let x = (s * r_bar + (1.0 - s) * g_bar) / (1.0 - (1.0 - s) * loss);
+            delay += pr * (base + loss * x);
+        }
+        delay
+    }
+
+    /// Per channel: for each data-slot offset, the distance (in slots) to
+    /// the nearest repair symbol covering it, if any — plus the peeling
+    /// success probability σ from the mean coverage multiplicity λ (how
+    /// many symbols cover a covered slot).
+    fn repair_cover(&self, loss: f64) -> Vec<(Vec<Option<u32>>, f64)> {
         let group = self.coding.map(|c| c.group);
-        let cover: Vec<(Vec<Option<u32>>, f64)> = self
-            .programs
+        self.programs
             .iter()
             .map(|prog| {
                 let period = prog.period() as u32;
@@ -590,36 +623,7 @@ impl BroadcastPlan {
                     .unwrap_or(0.0);
                 (dist, sigma)
             })
-            .collect();
-
-        let mut delay = 0.0;
-        for (p, &pr) in probs.iter().enumerate() {
-            if pr == 0.0 {
-                continue;
-            }
-            let ch = self.page_channel[p] as usize;
-            let prog = &self.programs[ch];
-            let local = PageId(self.page_local[p]);
-            let period = prog.period() as f64;
-            let base = prog.expected_delay(local);
-            let starts = prog.page_starts(local);
-            let covered: Vec<u32> = starts
-                .iter()
-                .filter_map(|&o| cover[ch].0[o as usize])
-                .collect();
-            let freq = starts.len() as f64;
-            let q = covered.len() as f64 / freq;
-            let r_bar = if covered.is_empty() {
-                0.0
-            } else {
-                covered.iter().map(|&d| d as f64).sum::<f64>() / covered.len() as f64
-            };
-            let s = q * cover[ch].1;
-            let g_bar = period / freq;
-            let x = (s * r_bar + (1.0 - s) * g_bar) / (1.0 - (1.0 - s) * loss);
-            delay += pr * (base + loss * x);
-        }
-        delay
+            .collect()
     }
 }
 
@@ -743,6 +747,7 @@ fn van_der_corput(mut k: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn d_small() -> DiskLayout {
         DiskLayout::new(vec![4, 6, 8], vec![4, 2, 1]).unwrap()
@@ -1116,6 +1121,142 @@ mod tests {
                     assert_eq!(plan.next_arrival(g, seq as f64), seq as f64);
                 }
             }
+        }
+    }
+
+    /// The pre-iterator `gaps`: every gap collected into a `Vec`.
+    fn gaps_vec(prog: &BroadcastProgram, page: PageId) -> Vec<f64> {
+        let starts = prog.page_starts(page);
+        let mut gaps = Vec::with_capacity(starts.len());
+        for w in starts.windows(2) {
+            gaps.push((w[1] - w[0]) as f64);
+        }
+        gaps.push((prog.period() as u32 - starts[starts.len() - 1] + starts[0]) as f64);
+        gaps
+    }
+
+    /// The `Vec`-based `BroadcastProgram::expected_delay`.
+    fn program_delay_vec(prog: &BroadcastProgram, page: PageId) -> f64 {
+        let period = prog.period() as f64;
+        gaps_vec(prog, page)
+            .iter()
+            .map(|g| g * g / (2.0 * period))
+            .sum()
+    }
+
+    /// The `Vec`-based `BroadcastPlan::expected_delay`.
+    fn plan_delay_vec(plan: &BroadcastPlan, probs: &[f64]) -> f64 {
+        let mut delay = 0.0;
+        for (p, &pr) in probs.iter().enumerate() {
+            let ch = plan.page_channel[p] as usize;
+            delay += pr * program_delay_vec(&plan.programs[ch], PageId(plan.page_local[p]));
+        }
+        delay
+    }
+
+    /// The `Vec`-based `BroadcastPlan::expected_delay_lossy`, which
+    /// collected each page's covered airings before counting and summing
+    /// them.
+    fn lossy_delay_vec(plan: &BroadcastPlan, probs: &[f64], loss: f64) -> f64 {
+        if loss == 0.0 {
+            return plan_delay_vec(plan, probs);
+        }
+        let cover = plan.repair_cover(loss);
+        let mut delay = 0.0;
+        for (p, &pr) in probs.iter().enumerate() {
+            if pr == 0.0 {
+                continue;
+            }
+            let ch = plan.page_channel[p] as usize;
+            let prog = &plan.programs[ch];
+            let local = PageId(plan.page_local[p]);
+            let period = prog.period() as f64;
+            let base = program_delay_vec(prog, local);
+            let starts = prog.page_starts(local);
+            let covered: Vec<u32> = starts
+                .iter()
+                .filter_map(|&o| cover[ch].0[o as usize])
+                .collect();
+            let freq = starts.len() as f64;
+            let q = covered.len() as f64 / freq;
+            let r_bar = if covered.is_empty() {
+                0.0
+            } else {
+                covered.iter().map(|&d| d as f64).sum::<f64>() / covered.len() as f64
+            };
+            let s = q * cover[ch].1;
+            let g_bar = period / freq;
+            let x = (s * r_bar + (1.0 - s) * g_bar) / (1.0 - (1.0 - s) * loss);
+            delay += pr * (base + loss * x);
+        }
+        delay
+    }
+
+    /// A generated (multi-disk, 1–3 channels), skewed or random plan.
+    /// `None` when the shape is invalid.
+    fn any_plan(
+        kind: u8,
+        sizes: &[usize],
+        delta: u64,
+        channels: usize,
+        seed: u64,
+    ) -> Option<BroadcastPlan> {
+        use rand::SeedableRng;
+        let copies: Vec<u64> = sizes.iter().map(|&n| 1 + n as u64 % 4).collect();
+        match kind {
+            0 => {
+                let layout = DiskLayout::with_delta(sizes, delta).ok()?;
+                BroadcastPlan::generate(&layout, channels).ok()
+            }
+            1 => Some(BroadcastPlan::single(crate::skewed_program(&copies).ok()?)),
+            _ => {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let program = crate::random_program(&copies, &mut rng).ok()?;
+                Some(BroadcastPlan::single(program))
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The allocation-free delay formulas are bit-equal to the
+        /// `Vec`-based ones they replaced, lossless and lossy, on
+        /// generated, skewed, random and coded programs.
+        #[test]
+        fn delays_are_bit_equal_to_the_vec_formulas(
+            kind in 0u8..3,
+            sizes in prop::collection::vec(1usize..=12, 1..=4),
+            delta in 0u64..=4,
+            channels in 1usize..=3,
+            seed in any::<u64>(),
+            codec in 0u8..3,
+            rate in 0.05f64..0.6,
+            group in 1usize..=8,
+            lossy in 0u8..4,
+            loss in 0.01f64..0.9,
+            weights in prop::collection::vec(0.0f64..1.0, 48),
+        ) {
+            let plan = any_plan(kind, &sizes, delta, channels, seed);
+            prop_assume!(plan.is_some());
+            // Codec 0 leaves the plan uncoded; lossy 0 is the lossless case.
+            let rate = if codec == 0 { 0.0 } else { rate };
+            let loss = if lossy == 0 { 0.0 } else { loss };
+            let coding = if codec == 1 {
+                CodingConfig::lt(rate, group, seed)
+            } else {
+                CodingConfig::xor(rate, group, seed)
+            };
+            let plan = plan.unwrap().with_coding(coding).unwrap();
+            let probs = &weights[..plan.num_pages()];
+            prop_assert_eq!(
+                plan.expected_delay(probs).to_bits(),
+                plan_delay_vec(&plan, probs).to_bits()
+            );
+            prop_assert_eq!(
+                plan.expected_delay_lossy(probs, loss).to_bits(),
+                lossy_delay_vec(&plan, probs, loss).to_bits()
+            );
         }
     }
 }

@@ -289,19 +289,20 @@ impl BroadcastProgram {
     /// ```
     pub fn expected_delay(&self, page: PageId) -> f64 {
         let period = self.period() as f64;
-        self.gaps(page).iter().map(|g| g * g / (2.0 * period)).sum()
+        self.gaps(page).map(|g| g * g / (2.0 * period)).sum()
     }
 
-    /// All inter-arrival gaps of `page` within one period (including the
-    /// wrap-around gap). Used by the analytic expected-delay model.
-    pub fn gaps(&self, page: PageId) -> Vec<f64> {
+    /// The inter-arrival gaps of `page` within one period, in airing
+    /// order, ending with the wrap-around gap. Used by the analytic
+    /// expected-delay model; yields without allocating.
+    pub fn gaps(&self, page: PageId) -> impl Iterator<Item = f64> + '_ {
         let starts = self.page_starts(page);
-        let mut gaps = Vec::with_capacity(starts.len());
-        for w in starts.windows(2) {
-            gaps.push((w[1] - w[0]) as f64);
-        }
-        gaps.push((self.period() as u32 - starts[starts.len() - 1] + starts[0]) as f64);
-        gaps
+        let wrap = self.period() as u32 - starts[starts.len() - 1] + starts[0];
+        starts
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .chain(std::iter::once(wrap))
+            .map(|g| g as f64)
     }
 
     /// Slot offsets (within one period) at which `page` is broadcast.
@@ -547,14 +548,14 @@ mod tests {
         assert_eq!(p.gap(PageId(1)), Some(4.0)); // single copy
         let s = aabc();
         assert_eq!(s.gap(PageId(0)), None); // clustered → uneven
-        assert_eq!(s.gaps(PageId(0)), vec![1.0, 3.0]);
+        assert_eq!(s.gaps(PageId(0)).collect::<Vec<_>>(), vec![1.0, 3.0]);
     }
 
     #[test]
     fn gaps_sum_to_period_times_freq_share() {
         let p = aabc();
         for page in 0..3 {
-            let g: f64 = p.gaps(PageId(page)).iter().sum();
+            let g: f64 = p.gaps(PageId(page)).sum();
             assert_eq!(g, p.period() as f64);
         }
     }
